@@ -45,9 +45,27 @@ def parse_spec(text: str) -> FactorialRatioSpec:
     return FactorialRatioSpec(e=e, f=f)
 
 
+# Below the smallest digit limit Python accepts for int <-> str (640), so
+# str() of a chunk never depends on the process-wide setting.
+_DECIMAL_CHUNK_DIGITS = 600
+
+
+def decimal_str(n: int) -> str:
+    """str(n) for any size of n, by divide and conquer on powers of ten."""
+    if n < 0:
+        return "-" + decimal_str(-n)
+    # 1233/4096 < log10(2): an underestimate of the digit count.
+    digits = n.bit_length() * 1233 >> 12
+    if digits < _DECIMAL_CHUNK_DIGITS:
+        return str(n)
+    low_digits = digits // 2
+    high, low = divmod(n, 10**low_digits)
+    return decimal_str(high) + decimal_str(low).zfill(low_digits)
+
+
 def rational_json(x: Fraction) -> dict:
     x = Fraction(x)
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return {"num": decimal_str(x.numerator), "den": decimal_str(x.denominator)}
 
 
 def valuation_json(v) -> object:
@@ -184,10 +202,10 @@ def cmd_verify(args) -> int:
         )
         return EXIT_FAILED
 
-    levels = (args.level,) if args.target == "qL" else ()
+    level = args.level if args.target == "qL" else None
+    levels = () if level is None else (level,)
     bundle = mirror.build_bundle(spec, args.order, levels=levels)
-    ser = bundle.q_reduced if args.target == "q" else bundle.q_L[args.level]
-    report = ser.vth_root(root).integrality()
+    report = bundle.root_integrality(level, root)
     emit(
         {
             "command": "verify",
@@ -395,7 +413,9 @@ def corpus_runner(
             bad = [level for level, rep in reports.items() if not rep.integral]
             if corrupt is not None:
                 bundle = mirror.build_bundle(spec, n, levels=(1,))
-                root = bundle.q_L[1].vth_root(landau.root_bound_dl(spec, 1))
+                root = TruncatedSeries(
+                    tuple(bundle.root_coeffs(1, landau.root_bound_dl(spec, 1)))
+                )
                 root = corrupt(text, root)
                 if not root.integrality().integral:
                     bad.append(1)
@@ -527,6 +547,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         for p in getattr(args, "primes", None) or ():
             if not padic.is_prime(p):
                 parser.error(f"--p {p} is not prime")
+        level = getattr(args, "level", None)
+        if level is not None:
+            big_m = parse_spec(args.spec).max_entry
+            if not 1 <= level <= big_m:
+                raise ValueError(f"--L {level} is outside [1, {big_m}]")
         return args.func(args)
     except (ValueError, mirror.CaseTwoError) as exc:
         sys.stderr.write(f"error: {exc}\n")

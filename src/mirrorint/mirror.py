@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 from .landau import (
     Classification,
@@ -25,7 +26,14 @@ from .landau import (
     q_ratio,
     root_bound_dl,
 )
-from .series import IntegralityReport, TruncatedSeries
+from .padic import primes_up_to, vp_rational
+from .series import (
+    IntegralityReport,
+    TruncatedSeries,
+    exp_quotient_root,
+    integrality_report,
+    reciprocal_coeffs,
+)
 
 __all__ = [
     "MirrorMapBundle",
@@ -60,13 +68,70 @@ class CaseTwoError(ValueError):
 
 @dataclass(frozen=True)
 class MirrorMapBundle:
+    """F, plus G, G_L, q_reduced and q_L, each computed on first access."""
+
     spec: FactorialRatioSpec
     order: int
     F: TruncatedSeries
-    G: TruncatedSeries
-    G_L: dict[int, TruncatedSeries]
-    q_reduced: TruncatedSeries
-    q_L: dict[int, TruncatedSeries]
+    levels: tuple[int, ...]
+
+    @cached_property
+    def G(self) -> TruncatedSeries:
+        """Coefficient n is Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n})."""
+        spec = self.spec
+        return TruncatedSeries(
+            tuple(
+                q * (
+                    sum(c * harmonic(c * n) for c in spec.e)
+                    - sum(c * harmonic(c * n) for c in spec.f)
+                )
+                if n
+                else Fraction(0)
+                for n, q in enumerate(self.F.coeffs)
+            )
+        )
+
+    @cached_property
+    def G_L(self) -> dict[int, TruncatedSeries]:
+        """Coefficient n of G_L is Q(n) H_{L n}, for each requested level."""
+        return {
+            level: TruncatedSeries(
+                tuple(
+                    q * harmonic(level * n) if n else Fraction(0)
+                    for n, q in enumerate(self.F.coeffs)
+                )
+            )
+            for level in self.levels
+        }
+
+    @cached_property
+    def _f_inv(self) -> list:
+        return reciprocal_coeffs(self.F.coeffs)
+
+    def root_coeffs(self, level: Optional[int] = None, v: int = 1) -> Iterator:
+        """Coefficients of exp(G_L/(v F)), or of exp(G/(v F)) for level=None.
+
+        Lazy: a consumer that stops early leaves the rest uncomputed.
+        """
+        g = self.G if level is None else self.G_L[level]
+        return exp_quotient_root(g.coeffs, self._f_inv, v)
+
+    def root_integrality(self, level: Optional[int], v: int) -> IntegralityReport:
+        """Integrality of q_L^{1/v} (or (z^-1 q)^{1/v}), up to the first bad index."""
+        return integrality_report(self.root_coeffs(level, v), self.order)
+
+    @cached_property
+    def q_reduced(self) -> TruncatedSeries:
+        """exp(G/F), that is z^-1 q."""
+        return TruncatedSeries(tuple(self.root_coeffs()))
+
+    @cached_property
+    def q_L(self) -> dict[int, TruncatedSeries]:
+        """q_L = exp(G_L/F) for each requested level."""
+        return {
+            level: TruncatedSeries(tuple(self.root_coeffs(level)))
+            for level in self.levels
+        }
 
 
 def build_bundle(
@@ -74,11 +139,10 @@ def build_bundle(
     order: int,
     levels: Optional[tuple[int, ...]] = None,
 ) -> MirrorMapBundle:
-    """Build F, G, the requested G_L / q_L, and the reduced coordinate exp(G/F).
+    """Build F; G, the requested G_L, q_reduced and q_L follow on access.
 
-    levels=None builds every level 1..M; pass an explicit (possibly empty)
-    tuple to restrict.  Coefficient n of G is Q(n) (sum e_i H_{e_i n} -
-    sum f_j H_{f_j n}) and coefficient n of G_L is Q(n) H_{L n}, all exact.
+    levels=None selects every level 1..M; pass an explicit (possibly empty)
+    tuple to restrict.  All coefficients are exact.
     """
     if not spec.balanced:
         raise ValueError(f"spec {spec} is not balanced (|e| != |f|)")
@@ -90,43 +154,8 @@ def build_bundle(
         for level in levels:
             if not 1 <= level <= spec.max_entry:
                 raise ValueError(f"level {level} outside [1, {spec.max_entry}]")
-
-    qs = [q_ratio(spec, n) for n in range(order + 1)]
-    harmonic(spec.max_entry * order)  # warm the cache in one pass
-
-    f_series = TruncatedSeries(tuple(qs))
-    g_coeffs = [Fraction(0)]
-    for n in range(1, order + 1):
-        weight = sum(c * harmonic(c * n) for c in spec.e) - sum(
-            c * harmonic(c * n) for c in spec.f
-        )
-        g_coeffs.append(qs[n] * weight)
-    g_series = TruncatedSeries(tuple(g_coeffs))
-
-    f_inv = f_series.reciprocal()
-    q_reduced = (g_series * f_inv).exp()
-
-    g_levels: dict[int, TruncatedSeries] = {}
-    q_levels: dict[int, TruncatedSeries] = {}
-    for level in levels:
-        gl = TruncatedSeries(
-            tuple(
-                qs[n] * harmonic(level * n) if n else Fraction(0)
-                for n in range(order + 1)
-            )
-        )
-        g_levels[level] = gl
-        q_levels[level] = (gl * f_inv).exp()
-
-    return MirrorMapBundle(
-        spec=spec,
-        order=order,
-        F=f_series,
-        G=g_series,
-        G_L=g_levels,
-        q_reduced=q_reduced,
-        q_L=q_levels,
-    )
+    f_series = TruncatedSeries(tuple(q_ratio(spec, n) for n in range(order + 1)))
+    return MirrorMapBundle(spec=spec, order=order, F=f_series, levels=tuple(levels))
 
 
 def product_relation_check(bundle: MirrorMapBundle) -> bool:
@@ -153,10 +182,8 @@ def verify_theorem1(
         raise CaseTwoError(spec, verdict)
     bundle = build_bundle(spec, order)
     return {
-        level: bundle.q_L[level]
-        .vth_root(root_bound_dl(spec, level))
-        .integrality()
-        for level in range(1, spec.max_entry + 1)
+        level: bundle.root_integrality(level, root_bound_dl(spec, level))
+        for level in bundle.levels
     }
 
 
@@ -177,7 +204,7 @@ def root_exponent_for_q(
 
     theta must divide M and the spec must be in case (i).  When the check
     passes, (z^-1 q)^{1/theta} has integer coefficients; callers can confirm
-    a prefix with vth_root + integrality.
+    a prefix with MirrorMapBundle.root_integrality(None, theta).
     """
     if theta < 1 or spec.max_entry % theta != 0:
         raise ValueError(f"theta={theta} does not divide M={spec.max_entry}")
@@ -202,29 +229,6 @@ class ReferenceExponents:
     omega: Optional[Fraction] = None
     xi_exponent: Optional[Fraction] = None      # Xi_N * Q(1)
     omega_exponent: Optional[Fraction] = None   # Omega_N * Q(1) * q1 * N
-
-
-def _small_primes(bound: int) -> list[int]:
-    out = []
-    for n in range(2, bound + 1):
-        if all(n % p for p in out if p * p <= n):
-            out.append(n)
-    return out
-
-
-def _vp_fraction(x: Fraction, p: int) -> int:
-    if x == 0:
-        raise ValueError("valuation of 0 requested")
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
 
 
 def reference_exponents(
@@ -258,12 +262,12 @@ def reference_exponents(
     h_n = harmonic(n_val)
     xi = Fraction(1)
     omega = Fraction(1)
-    for p in _small_primes(n_val):
+    for p in primes_up_to(n_val):
         xi_flag = 1 if (p in wolstenholme or n_val % p == 0) else 0
-        xi *= Fraction(p) ** min(2 + xi_flag, _vp_fraction(h_n, p))
+        xi *= Fraction(p) ** min(2 + xi_flag, vp_rational(h_n, p))
         om_flag = 1 if (p in wolstenholme or n_val % p in (1, p - 1)) else 0
         shifted = h_n - 1
-        v_shift = _vp_fraction(shifted, p) if shifted else 2 + om_flag
+        v_shift = vp_rational(shifted, p) if shifted else 2 + om_flag
         omega *= Fraction(p) ** min(2 + om_flag, v_shift)
 
     q1_count = len(spec.e)
@@ -303,21 +307,14 @@ def nonintegrality_witness(
         # Nothing to find: case (i) makes every target integral.
         return None
 
-    bundle = build_bundle(spec, order, levels=())
-    level_cache: dict[int, TruncatedSeries] = {}
-
-    def level_series(level: int) -> TruncatedSeries:
-        # Levels are only materialized if q_reduced yields no witness at all.
-        if not level_cache:
-            level_cache.update(build_bundle(spec, order).q_L)
-        return level_cache[level]
-
-    for p in _small_primes(prime_bound):
+    # G_L and q_L are computed on first access: only if q has no witness.
+    bundle = build_bundle(spec, order)
+    for p in primes_up_to(prime_bound):
         hit = _first_negative_vp(bundle.q_reduced, p)
         if hit:
             return NonintegralityWitness(p, "q", hit[0], hit[1])
-        for level in range(1, spec.max_entry + 1):
-            hit = _first_negative_vp(level_series(level), p)
+        for level in bundle.levels:
+            hit = _first_negative_vp(bundle.q_L[level], p)
             if hit:
                 return NonintegralityWitness(p, f"qL={level}", hit[0], hit[1])
     return None
@@ -328,5 +325,5 @@ def _first_negative_vp(
 ) -> Optional[tuple[int, int]]:
     for n, c in enumerate(ser.coeffs):
         if c.denominator % p == 0:
-            return n, _vp_fraction(c, p)
+            return n, vp_rational(c, p)
     return None

@@ -5,15 +5,27 @@ operation truncates to the smaller operand order and never pads, so a result
 never claims coefficients that were not actually computed.  exp and log are
 solved through the ODE recurrence b' = a' b, which keeps everything in
 O(N^2) exact-rational operations.
+
+The certifiers do not go through that ring.  exp_quotient_root computes
+exp(h/v) for h = g / f straight from g and 1/f on integers, one coefficient
+at a time, so a verifier can stop at the first non-integral coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-__all__ = ["TruncatedSeries", "IntegralityReport"]
+__all__ = [
+    "TruncatedSeries",
+    "IntegralityReport",
+    "integrality_report",
+    "reciprocal_coeffs",
+    "exp_quotient_root",
+]
 
 Scalar = Union[int, Fraction]
 
@@ -26,6 +38,88 @@ class IntegralityReport:
     order_checked: int
     first_bad_index: Optional[int] = None
     first_bad_coefficient: Optional[Fraction] = None
+
+
+def integrality_report(coeffs: Iterable[Scalar], order: int) -> IntegralityReport:
+    """Report the first non-integral coefficient of c_0..c_order, if any.
+
+    Consumes coeffs only up to that coefficient, so a lazy producer stops
+    there too.
+    """
+    for n, c in enumerate(coeffs):
+        if c.denominator != 1:
+            return IntegralityReport(
+                integral=False,
+                order_checked=order,
+                first_bad_index=n,
+                first_bad_coefficient=Fraction(c),
+            )
+    return IntegralityReport(integral=True, order_checked=order)
+
+
+def _exact(c: Scalar) -> Scalar:
+    """c as an int when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def reciprocal_coeffs(coeffs: Sequence[Scalar]) -> list[Scalar]:
+    """Coefficients of 1/a for a with constant term 1.
+
+    Integral coefficients are handled as ints; a non-integral one keeps the
+    arithmetic that touches it in Fractions.
+    """
+    if coeffs[0] != 1:
+        raise ValueError("reciprocal_coeffs requires constant term 1")
+    a = [_exact(c) for c in coeffs]
+    out = [1]
+    for k in range(1, len(a)):
+        out.append(_exact(-sum(map(mul, a[1 : k + 1], reversed(out)))))
+    return out
+
+
+def exp_quotient_root(
+    g: Sequence[Scalar], f_inv: Sequence[Scalar], v: int = 1
+) -> Iterator[Scalar]:
+    """Yield the coefficients y_0, y_1, ... of exp(h/v), where h = g * f_inv.
+
+    g has g_0 = 0 and f_inv holds the coefficients of 1/f, for instance from
+    reciprocal_coeffs.  With delta_n the lcm of the reduced denominators of
+    g_1..g_n, every h_k * delta_k is an integer when f_inv is integral, and
+    y' = h' y / v becomes
+
+        n v delta_n y_n = sum_{k=1..n} k (h_k delta_k) (delta_n / delta_k) y_{n-k},
+
+    which divides exactly while the root is integral.  A coefficient that
+    does not divide is yielded as a Fraction, and the coefficients after it
+    are computed in Fractions on the same path.  Yields min(len(g),
+    len(f_inv)) coefficients.
+    """
+    if v < 1:
+        raise ValueError("v must be a positive integer")
+    if g[0] != 0:
+        raise ValueError("exp_quotient_root requires g_0 = 0")
+    order = min(len(g), len(f_inv)) - 1
+    delta = 1
+    g_scaled: list[Scalar] = []  # g_j * delta_n, j = 1..n
+    weights: list[Scalar] = []  # k h_k delta_n, k = 1..n
+    y: list[Scalar] = [1]
+    yield 1
+    for n in range(1, order + 1):
+        c = Fraction(g[n])
+        step = c.denominator // math.gcd(delta, c.denominator)
+        if step != 1:
+            delta *= step
+            g_scaled = [x * step for x in g_scaled]
+            weights = [x * step for x in weights]
+        g_scaled.append(c.numerator * (delta // c.denominator))
+        h = sum(map(mul, g_scaled, reversed(f_inv[:n])))
+        weights.append(n * h)
+        total = sum(map(mul, weights, reversed(y)))
+        den = n * v * delta
+        quotient, remainder = divmod(total, den)
+        y_n = quotient if remainder == 0 else Fraction(total, den)
+        y.append(y_n)
+        yield y_n
 
 
 @dataclass(frozen=True)
@@ -170,15 +264,7 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
     def integrality(self) -> IntegralityReport:
-        for n, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                return IntegralityReport(
-                    integral=False,
-                    order_checked=self.order,
-                    first_bad_index=n,
-                    first_bad_coefficient=c,
-                )
-        return IntegralityReport(integral=True, order_checked=self.order)
+        return integrality_report(self.coeffs, self.order)
 
     def max_root_exponent(self) -> tuple[int, tuple[int, ...]]:
         """Largest v with an integral v-th root at this order, plus all passing v.

@@ -105,8 +105,7 @@ def verify_zhou(instance: ZhouInstance, order: int) -> ZhouVerdict:
     verdict = classify(spec)
     if not verdict.case_i:
         return ZhouVerdict(instance, False, instance.k, order, None)
-    bundle = build_bundle(spec, order, levels=())
-    report = bundle.q_reduced.vth_root(instance.k).integrality()
+    report = build_bundle(spec, order, levels=()).root_integrality(None, instance.k)
     return ZhouVerdict(instance, True, instance.k, order, report)
 
 

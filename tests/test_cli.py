@@ -3,15 +3,19 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mirrorint.cli import (
     EXIT_FAILED,
     EXIT_OK,
     EXIT_USAGE,
     corpus_runner,
+    decimal_str,
     main,
     parse_spec,
 )
+from mirrorint.landau import q_ratio
 from mirrorint.series import TruncatedSeries
 
 
@@ -67,6 +71,30 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["padic", "--spec", "6/3,2,1", "--p", "6", "--what", "phi"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--spec", "6/3,2,1", "--target", "qL", "--L", "0", "--order", "5"],
+            ["series", "--spec", "6/3,2,1", "--target", "qL", "--L", "7", "--order", "5"],
+            ["verify", "--spec", "6/3,2,1", "--target", "qL", "--L", "0", "--root", "6"],
+            ["padic", "--spec", "6/3,2,1", "--p", "2", "--what", "phi", "--L", "-1"],
+        ],
+    )
+    def test_level_out_of_range_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside [1, 6]" in captured.err
+
+    def test_huge_coefficients_serialize(self, capsys):
+        # Q(10) has more decimal digits than Python's default int->str limit.
+        spec = "1806/903,602,258,42,1"
+        assert main(["series", "--spec", spec, "--target", "F", "--order", "10"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        top = payload["coefficients"][10]
+        assert len(top["num"]) > 4300 and top["den"] == "1"
+        assert _parse_decimal(top["num"]) == q_ratio(parse_spec(spec), 10)
 
 
 class TestDeterminism:
@@ -131,3 +159,19 @@ def test_zhou_csv_output(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("ks,k,ws,case_i,exponent,order,integral")
     assert len(lines) == 6  # header + 5 instances
+
+
+def _parse_decimal(text):
+    """int(text) in chunks, below any int<->str digit limit."""
+    value = 0
+    for start in range(0, len(text), 500):
+        chunk = text[start : start + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+@given(st.integers(min_value=-(10**1300), max_value=10**1300), st.integers(0, 1400))
+def test_decimal_str_matches_str(n, k):
+    # Sizes below the interpreter's digit limit, where str() is the oracle.
+    for m in (n, 10**k, 10**k - 1):
+        assert decimal_str(m) == str(m)

@@ -1,0 +1,156 @@
+"""Byte-identical CLI reports: sha256 of stdout and the exit code, per command.
+
+The digests were captured from the Fraction exp -> log -> exp implementation
+of q, q_L and their roots, before the integer exp kernel replaced it.  They
+cover the corpus, verify and series for the corpus specs at their corpus
+orders (q and every level), wrong roots and a non-Landau spec, whose reports
+carry first_bad_index and first_bad_coefficient, and a Zhou batch.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from mirrorint.cli import main
+
+# (command line, exit code, sha256 of stdout)
+GOLDEN = (
+    ("corpus", 0, "e1a9c5f0d71c798e6e1428dcf5c84eff0cb329dadbf3fdbe682fe1d7c6eee1e1"),
+    ("verify --spec 6/3,2,1 --target q --order 40", 0, "32b3fde81f8b7345d21818efded029e5c7158ab37153f0cdbcbb64bd0616ddf9"),
+    ("series --spec 6/3,2,1 --target q --order 40", 0, "25d823ef9305a1a361a65e59214d177139775d94050ae0bac6fcf0d9664ff144"),
+    ("verify --spec 6/3,2,1 --target qL --L 1 --order 40", 0, "25a7260fcd1a30bb91d28c16130d3eb7eb54f754da77e3da5c2c005a7314ba42"),
+    ("series --spec 6/3,2,1 --target qL --L 1 --order 40", 0, "a73177777fe18ab9c53db0ae0de12d426ac873c41094d780f7e7eb0eb198e4bf"),
+    ("verify --spec 6/3,2,1 --target qL --L 2 --order 40", 0, "a84bc3a3ed4ebfb15165ce205d520beda63bbd2e227ee0f812859a3c3ef758aa"),
+    ("series --spec 6/3,2,1 --target qL --L 2 --order 40", 0, "c0176440b67f972e03fff265dcdb60537c49216a3dd9e641ac2ac4174420cca2"),
+    ("verify --spec 6/3,2,1 --target qL --L 3 --order 40", 0, "0c5ce35c4816100c199ae0ae18490922c19f07a4f074275c2c63308a45a407ee"),
+    ("series --spec 6/3,2,1 --target qL --L 3 --order 40", 0, "0680462a62b3e4bc347e6f342a924a5966991476b45884a22cbcf6d53f58f000"),
+    ("verify --spec 6/3,2,1 --target qL --L 4 --order 40", 0, "374555f8f8099d2ef0cc22c8fdf148c216a118cd283f3fb73eba20f4c2f5ec0b"),
+    ("series --spec 6/3,2,1 --target qL --L 4 --order 40", 0, "1cf12140a6f43bd799c59f0496deba77bd1d0264b33fd75d1b6966e29c489a4b"),
+    ("verify --spec 6/3,2,1 --target qL --L 5 --order 40", 0, "59bed73d3e66d0c08a3844c836384567ddbf39604cafa8f9cdf61b2702a134eb"),
+    ("series --spec 6/3,2,1 --target qL --L 5 --order 40", 0, "89dc1a482026bb229386799575c70c78ecfeff3ce6578375025c759cf16735cc"),
+    ("verify --spec 6/3,2,1 --target qL --L 6 --order 40", 0, "09804cd1a9d5246825e06a57abfa475d1da043e66ade27b06c705437463c5f11"),
+    ("series --spec 6/3,2,1 --target qL --L 6 --order 40", 0, "c70e724d033ae623330c3be2c0bba559856b47480c98fe8a5d04dff4e2665139"),
+    ("verify --spec 12/4,3,3,2 --target q --order 30", 0, "e9c3cfb9de139fd7af744fdb8216c89d431cd6dfe6e271459a816b72fe592648"),
+    ("series --spec 12/4,3,3,2 --target q --order 30", 0, "0d50a70cdbe1616e99ad8732b78e9a98952e9bd23b08cc72e53fa68bea782c19"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 1 --order 30", 0, "22119b6442d5af697f66046d6c7a43cc73c35e5df7ef9a88f109e5969ab43753"),
+    ("series --spec 12/4,3,3,2 --target qL --L 1 --order 30", 0, "3a4b7dfd88c390ffb4918ccf7c161fc6832361fc4809ccd2587c70429226718d"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 2 --order 30", 0, "f06a5bc8695865f798d049386c5571145021ee3e094d62b18a1fc5178ee00b50"),
+    ("series --spec 12/4,3,3,2 --target qL --L 2 --order 30", 0, "752495b63676b74c45eebeb4eb1868cc393f75a10bd62622a59ad19acad506a5"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 3 --order 30", 0, "e66643a841a3dee5e6ccbc80c0ef9e8ca9522950b7a08677111815a9ccee0494"),
+    ("series --spec 12/4,3,3,2 --target qL --L 3 --order 30", 0, "168aa40b78c866956eb7df71333a5033a6e9e94c63d7d168b0c1ba72f2910bce"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 4 --order 30", 0, "bf69928b8cbbca858efefd484b3a5e78e062cdd8aded88d0f6d01b3b0899cad6"),
+    ("series --spec 12/4,3,3,2 --target qL --L 4 --order 30", 0, "d582af1dc101b05f275bc8637b88a44655fa21f8838e862e6fd2c1e99c05ecb9"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 5 --order 30", 0, "81642992a82ceca81d861eb996b26c264a5f3c5dd52d3efb2d4a671e3b92c25e"),
+    ("series --spec 12/4,3,3,2 --target qL --L 5 --order 30", 0, "0e4cc6fa6bf5d6976e8d88583d02c5258571b0e024d84cc234cb8c62350b9e7c"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 6 --order 30", 0, "00b8347738e8e54b1ee5360cfd31a197b6f275e4a94727ed78ab8e41f4268646"),
+    ("series --spec 12/4,3,3,2 --target qL --L 6 --order 30", 0, "7f2998460da13a052db818efe0e450121866e105ecab4f87c15987b19fba5c07"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 7 --order 30", 0, "1eaddbbb005c45006aeb014d1b460fc55904abc57d8e77c8d52993b283d55c4a"),
+    ("series --spec 12/4,3,3,2 --target qL --L 7 --order 30", 0, "a97410c93d62a9c9f1ceb3b209ab96d1845e9551be00cf9ea231b8f803adef84"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 8 --order 30", 0, "93b1c663816acb579c1e7e6e67756dfd451377942d1a829917da2566f7a2fb45"),
+    ("series --spec 12/4,3,3,2 --target qL --L 8 --order 30", 0, "60a29c7d14a71b21e469b5f0cabace01f4632c058c585ad865247a98e2596bf8"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 9 --order 30", 0, "9e91e38b4d6708012c67ca8be71f7426282e5bdeafa1d95f5e8a147d2e677c4e"),
+    ("series --spec 12/4,3,3,2 --target qL --L 9 --order 30", 0, "c2c5ac448474bdd3d6492e2c22d9ef185a213c1b475fdd24dec69dbe32b63d70"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 10 --order 30", 0, "717383519edcd3302b6813816c242d401771e728f63092924a2ac9bb14e8b29d"),
+    ("series --spec 12/4,3,3,2 --target qL --L 10 --order 30", 0, "e7584f2015ad3074e5f4ccaf661a684f087dbd951f7461139ae26b1d8e484cbd"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 11 --order 30", 0, "4ca9f9a26f3eb24bed4a70abae63fdb2b9742f4b6484ad244f3e74f2a364ccaf"),
+    ("series --spec 12/4,3,3,2 --target qL --L 11 --order 30", 0, "3f8c31dc87cbe4703781b4887f90209a00b840864222d729163ed99b786f8c7b"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 12 --order 30", 0, "834d4272e78ad8153bff76f3fdaa8766e2ee9f34ffe0ab06ad391f0ec62b7000"),
+    ("series --spec 12/4,3,3,2 --target qL --L 12 --order 30", 0, "a97e8c53d4ff2624287466c08a3359769a9302c58a88f67f9257083d3b2cc7ac"),
+    ("verify --spec 3/1,1,1 --target q --order 40", 0, "f8db2483deb20c8777bd47be241ee1bb79a4eef020bb2e4348a6bdd495d4eb63"),
+    ("series --spec 3/1,1,1 --target q --order 40", 0, "1e7b5fffbb7d1f7bf9d7979c3bb666f0cb55649c77b56c6b2b9ccd5678eea289"),
+    ("verify --spec 3/1,1,1 --target qL --L 1 --order 40", 0, "863bf991a3ceae67dc3a026beb9ed320a1031ededef1408c530adb9a2f368eec"),
+    ("series --spec 3/1,1,1 --target qL --L 1 --order 40", 0, "bbf37d4400ab99140f7c03c7a06eccfc624595c584bb8b6dd5e7e418a6c7b845"),
+    ("verify --spec 3/1,1,1 --target qL --L 2 --order 40", 0, "9ea5ae0572f3c0e1e2537f2c66faa756d8f37f2a08a7408a73080e7efcf6ff24"),
+    ("series --spec 3/1,1,1 --target qL --L 2 --order 40", 0, "eabb87aeccade01d7af417440dac8094a4a9c0cb4ffc4a391a16e96d06c3e7f2"),
+    ("verify --spec 3/1,1,1 --target qL --L 3 --order 40", 0, "1d4bfdbb2571d6072a2cacb5af589c2a60a284cffc99f97a766711405441f1f6"),
+    ("series --spec 3/1,1,1 --target qL --L 3 --order 40", 0, "1ebcbf494896172eed4adb90ccf72ab65cc2c44c324c32a18ef4d9c531b0bf54"),
+    ("verify --spec 2/1,1 --target q --order 40", 0, "f777509db740bcfc23e0de91c5a4e1eb5cae590261ab250b4a0f153586b2c2ef"),
+    ("series --spec 2/1,1 --target q --order 40", 0, "312ab0eb82da3e6f251aa91b5d987aebbf23c082047986ff6a550ef53258d57f"),
+    ("verify --spec 2/1,1 --target qL --L 1 --order 40", 0, "a24673960c6053b082bceabbf122794af7e5e855b2df932c97b1382f54dd09e9"),
+    ("series --spec 2/1,1 --target qL --L 1 --order 40", 0, "2252a49fd8f3551c71554de29673c3483514fe73e29453c032e0978de3848375"),
+    ("verify --spec 2/1,1 --target qL --L 2 --order 40", 0, "cb6994df8d448565a82265af9d0b8b870c64fafc61f03f8e104ddc6a2296378d"),
+    ("series --spec 2/1,1 --target qL --L 2 --order 40", 0, "ccf669b3b48e8342e09b83328934664affe1e91bf309c306f0107350d72d7331"),
+    ("verify --spec 30,1/15,10,6 --target q --order 40", 1, "1b4e2066f90ff48c6d49fbca0a99ef3c78b97e777ea095525310d833cbcce71f"),
+    ("series --spec 30,1/15,10,6 --target q --order 40", 0, "247c9ab5acf2ef6ddde30154f9bcbc8edece399e696d78ffeac7507138cfb5f8"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 1 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 1 --order 40", 0, "f3ce30141a1dbcebd4b3a69fbbe6d9ba92f1dc90fc7a35c9fa05b9b8db84bd6d"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 2 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 2 --order 40", 0, "bc8a359735ac1053f8140adf9245998fc7967b9fe19c5369f5019085010cea28"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 3 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 3 --order 40", 0, "aa3055ed4b7eb3b645f42f013058fcfd037e7c5555b2dd34fe7e3b583f2bab81"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 4 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 4 --order 40", 0, "13c7c0476516ad40e4fd474e7fbc76724db0632566ddc7255698f3055eb62c25"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 5 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 5 --order 40", 0, "7837c3fc5048105ea503baefe3c4d4eb89936728ca5174dcc4cd7bc1874360e8"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 6 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 6 --order 40", 0, "35b36ecc237988310da96ffe6348ce5b7df57259f08c91b97bec1b5fd20e05d0"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 7 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 7 --order 40", 0, "233709bb7d01d53e58504aebe9a6a550ce832b24d0e6953f99a8a15044c456e5"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 8 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 8 --order 40", 0, "7c0d73c44536094912fc3fdb5263f3e192c9069b4ed0ce49694689759bfa7dbd"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 9 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 9 --order 40", 0, "249edb4383630dbdf556b8b91267b3437cc3771c0777b0b4cb574fde58079192"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 10 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 10 --order 40", 0, "bf5feeddc429f5325f9d22aadc54ac49bc01dcbfe10cd19acf751fa983e70f8d"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 11 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 11 --order 40", 0, "4b15cf9eb58a086c0760cefd41cfc6a6366df86cdb930c6dacf30ab0fc8d465b"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 12 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 12 --order 40", 0, "c00b4f199bc6c301260e2eb7ed6c17d395fae6dde8dc8dfa8f26079d07aeabcf"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 13 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 13 --order 40", 0, "1e758c8d20525345aae2b08830ec3ee8fbbb2fb6a811644bb9d18173b206cc66"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 14 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 14 --order 40", 0, "d67f29e5efa95a2d1afb472c5c8ef0b33ce49df685f02058256bdadf7da7128a"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 15 --order 40", 1, "9a2721fe864599455adaf9a1e7347f5d863a5a021e4e86cd91745222023dfc8c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 15 --order 40", 0, "792ea507c571fdfa3b7dc7c98c358dbb34fef641f26b74a7f3b69186fa7fe56b"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 16 --order 40", 1, "e64d7dc9abf60726732b781361782c2f60be9085b0b7419df79d1cea6fb8277e"),
+    ("series --spec 30,1/15,10,6 --target qL --L 16 --order 40", 0, "f11024ae6776082ea05423fa157be3f1ea5e68c12e933211b3c963873b9648f4"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 17 --order 40", 1, "af96de22244d81b2e00d71d7452df5b3eb319aff9b109b093a6a4da34f9060c4"),
+    ("series --spec 30,1/15,10,6 --target qL --L 17 --order 40", 0, "57a395c250fc840c3701a1f663bd2c771c39038a9e71b4b9dc97a716f49e2224"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 18 --order 40", 1, "06be3bdbb083c2b2d9db56706a072686ccbbb450b90e9657ffd693fd629d79ef"),
+    ("series --spec 30,1/15,10,6 --target qL --L 18 --order 40", 0, "2a2a03d1af9aa9c2697eaa3462ec0aba01291b5ae3279fe2967d914075eb23df"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 19 --order 40", 1, "e8b1ade21adb38f6a7c2f3311da9a98b0cdf6b759cb30df47af7175d33ab534e"),
+    ("series --spec 30,1/15,10,6 --target qL --L 19 --order 40", 0, "3d38f7fa4652b53703c3192a9f519e5d063f1e4695afbb5c2b3895fe3dc59586"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 20 --order 40", 1, "a9530822bb40c06adac1afd11a45c1870aee86aa4fa808dac1f16fc4d39e461c"),
+    ("series --spec 30,1/15,10,6 --target qL --L 20 --order 40", 0, "b22132c9f6e6ef7b4b104218f00d0db57f64b5961cdff7223ee28faadd6b421a"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 21 --order 40", 1, "f7dfd3549fc0a5340151359cac9dd2db8e8ae4f50c03a02c56d6a4cadf59e6ca"),
+    ("series --spec 30,1/15,10,6 --target qL --L 21 --order 40", 0, "cf7e40c78fb5e7511f05e3e7d5cf3e3de4cb1f7ace23c034a627f8fd3bc2aaf4"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 22 --order 40", 1, "47d99b0f1b35c3368fbed85970af86bb9c36fdd6804348c6cd19f125c02a5365"),
+    ("series --spec 30,1/15,10,6 --target qL --L 22 --order 40", 0, "03a640cd0a3723b6511aa5bff906d1eb6ab71c9a2436aeb411402b9832b6170b"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 23 --order 40", 1, "19b701658cfa6b3a4573615fe49287d90cdd184850ffd38ef9354940fbe5daaa"),
+    ("series --spec 30,1/15,10,6 --target qL --L 23 --order 40", 0, "2ba4be863d9867521c17f98e91fdb1f15ab4e9339c077259d2125c48112d6f5c"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 24 --order 40", 1, "4f2882942df29c28daf67521b17cfc9a7b2114abad95e3910176379cc609f2f9"),
+    ("series --spec 30,1/15,10,6 --target qL --L 24 --order 40", 0, "4bc68f83fd78ff93fa0273b9cdeab6a4b032c80f91598656a41c98641d95f679"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 25 --order 40", 1, "b99e5837611da6e32e2b58d3dff090ae8195df0ddb6b0118a086d6d3cfb6d584"),
+    ("series --spec 30,1/15,10,6 --target qL --L 25 --order 40", 0, "351b6d5d868e416112b4dba8d034bae453171b983b4cce5cddbbfb267b7a99d2"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 26 --order 40", 1, "693facb270a45ea9891ce15c119622ac58b8cc541a231c975dd591cd3d8c8050"),
+    ("series --spec 30,1/15,10,6 --target qL --L 26 --order 40", 0, "c1e9c037b99fa5e446b867c26a53971d236413dbe58318cc1f381ac0123dd607"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 27 --order 40", 1, "66eb48e7bc536646c8081be8aae89dfbea74ba2623199b7360ae02f2f264ac32"),
+    ("series --spec 30,1/15,10,6 --target qL --L 27 --order 40", 0, "6853474ae93d8678b30a68b0c2c835f1f0de449051f342d9293b5b0ea6f6917f"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 28 --order 40", 1, "5bd4ffbed50aa6d7ef720f654936672125201f71688d224b8d71bf78798f8794"),
+    ("series --spec 30,1/15,10,6 --target qL --L 28 --order 40", 0, "b107ee5e44296680c1166281b5f1634e29f20818709babece717251527476e9f"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 29 --order 40", 1, "7c5a1a7ea3b14cf85f5f5579460109455fd03e20c7c9438e8b79f5b096911419"),
+    ("series --spec 30,1/15,10,6 --target qL --L 29 --order 40", 0, "88bc9d2b9a5aadc80f5932ea7031f4c8c755f8d8e12bf385746a8b8ebe1c140a"),
+    ("verify --spec 30,1/15,10,6 --target qL --L 30 --order 40", 1, "3735bcb5c8d938f431a7195b45b81bb23919c9cce913f55d55fc69427ef80186"),
+    ("series --spec 30,1/15,10,6 --target qL --L 30 --order 40", 0, "5c605c0c8a8d3af4746849dadc5bf91bb4c79ac253af6bb520b45f7648a0a727"),
+    ("verify --spec 6/3,2,1 --target qL --L 1 --root 120 --order 40", 1, "9d5f1f514a9a57ed0dac04bb7babe10769d04e6b781823b04e18f92581ad9607"),
+    ("verify --spec 6/3,2,1 --target qL --L 1 --root 7 --order 40", 1, "a40dca339712a773b56231dd1a72f4cbeefd44413c70084fccee9522d21bdf41"),
+    ("verify --spec 6/3,2,1 --target q --root 61 --order 40", 1, "6d681bb7de7c523f9203af40832e3930472b5348974f6046e4c429140b16a722"),
+    ("series --spec 2,2/3,1 --target q --order 20", 0, "d5d94f6bb5b1b9ac34c5d3502781bbafe9f2243878fbd8ca36f6785ae8e4cd37"),
+    ("series --spec 2,2/3,1 --target qL --L 2 --order 20", 0, "564b6215a0ee8819f3138e3355a3748bf9973a0c019fbdec6c316986de92708f"),
+    ("verify --spec 2,2/3,1 --target q --order 20", 1, "4a12082c03596e00918e9c61b7f2fb5c42316da0c526a9a858f8c726764d3149"),
+    ("zhou --n-max 4 --order 30", 0, "34bd538457406c0f9760e438f2af9ecaf9b778469a7f810672e4be14f5699e34"),
+)
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_stdout_bytes_unchanged(command, code, digest):
+    assert _run(command.split()) == (code, digest)
