@@ -22,12 +22,14 @@ __all__ = [
     "Classification",
     "PochhammerForm",
     "q_ratio",
+    "q_ratios",
     "delta_at",
     "profile",
     "classify",
     "root_bound_dl",
     "pochhammer_form",
     "harmonic",
+    "harmonic_sums",
 ]
 
 
@@ -140,6 +142,26 @@ def q_ratio(spec: FactorialRatioSpec, n: int) -> Fraction:
     return Fraction(num, den)
 
 
+def q_ratios(spec: FactorialRatioSpec, order: int) -> list[int | Fraction]:
+    """Q(0), ..., Q(order), each from the one before.
+
+    Q(n) = Q(n-1) * prod_i (e_i n)! / (e_i (n-1))! / prod_j (f_j n)! / (f_j (n-1))!.
+    A value is an int when the division is exact and a Fraction otherwise
+    (specs that fail the Landau criterion); both take the same path.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    q = 1
+    out = [q]
+    for n in range(1, order + 1):
+        q *= math.prod(math.perm(c * n, c) for c in spec.e)
+        den = math.prod(math.perm(c * n, c) for c in spec.f)
+        quotient, remainder = divmod(q, den)
+        q = quotient if remainder == 0 else Fraction(q, den)
+        out.append(q)
+    return out
+
+
 def delta_at(spec: FactorialRatioSpec, x: Fraction) -> int:
     """The step function sum floor(e_i x) - sum floor(f_j x)."""
     x = Fraction(x)
@@ -148,15 +170,27 @@ def delta_at(spec: FactorialRatioSpec, x: Fraction) -> int:
     )
 
 
-def profile(spec: FactorialRatioSpec) -> LandauProfile:
-    """Exact piecewise-constant profile of D on [0, 1).
+def _ticks(spec: FactorialRatioSpec) -> tuple[int, list[int], list[int]]:
+    """D on [0, 1) as integer ticks t, meaning the abscissa t / lcm of the entries.
 
     The candidate breakpoints i/c (c an entry, 0 <= i < c) are exactly the
-    points where some floor(c x) can jump, so evaluating at each candidate
-    gives the full step structure.
+    points where some floor(c x) can jump; at tick t the value is
+    sum floor(c t / lcm) over e minus the same over f.  Returns (lcm, sorted
+    ticks, values).
     """
-    points = sorted({Fraction(i, c) for c in spec.e + spec.f for i in range(c)})
-    values = tuple(delta_at(spec, b) for b in points)
+    lcm = math.lcm(*spec.e, *spec.f)
+    ticks = sorted({i * (lcm // c) for c in set(spec.e + spec.f) for i in range(c)})
+    values = [
+        sum(c * t // lcm for c in spec.e) - sum(c * t // lcm for c in spec.f)
+        for t in ticks
+    ]
+    return lcm, ticks, values
+
+
+def profile(spec: FactorialRatioSpec) -> LandauProfile:
+    """Exact piecewise-constant profile of D on [0, 1)."""
+    lcm, ticks, values = _ticks(spec)
+    points = [Fraction(t, lcm) for t in ticks]
     jumps = []
     for i, b in enumerate(points):
         if i == 0:
@@ -167,7 +201,7 @@ def profile(spec: FactorialRatioSpec) -> LandauProfile:
         else:
             left = values[i - 1]
         jumps.append((b, values[i] - left))
-    return LandauProfile(tuple(points), values, tuple(jumps))
+    return LandauProfile(tuple(points), tuple(values), tuple(jumps))
 
 
 def classify(spec: FactorialRatioSpec) -> Classification:
@@ -176,16 +210,15 @@ def classify(spec: FactorialRatioSpec) -> Classification:
     The first condition is the Landau integrality criterion for Q; the second
     is the dichotomy hypothesis under which the root theorems apply.
     """
-    prof = profile(spec)
-    negative = [b for b, v in zip(prof.breakpoints, prof.values) if v < 0]
+    lcm, ticks, values = _ticks(spec)
+    negative = [Fraction(t, lcm) for t, v in zip(ticks, values) if v < 0]
     end = delta_at(spec, Fraction(1))
     if end < 0:
         negative.append(Fraction(1))
-    threshold = Fraction(1, spec.max_entry)
+    # t / lcm >= 1/M
+    big_m = spec.max_entry
     zero = [
-        b
-        for b, v in zip(prof.breakpoints, prof.values)
-        if b >= threshold and v < 1
+        Fraction(t, lcm) for t, v in zip(ticks, values) if t * big_m >= lcm and v < 1
     ]
     return Classification(
         landau_integral=not negative,
@@ -239,3 +272,39 @@ def harmonic(n: int) -> Fraction:
         k = len(_HARMONIC)
         _HARMONIC.append(_HARMONIC[-1] + Fraction(1, k))
     return _HARMONIC[n]
+
+
+def _reciprocal_block(a: int, b: int) -> tuple[int, int]:
+    """sum_{a < j <= b} 1/j as an unreduced (numerator, b!/a!), by binary splitting."""
+    if b - a <= 16:
+        # Short runs are cheaper term by term than split further.
+        p, q = 0, 1
+        for j in range(a + 1, b + 1):
+            p, q = p * j + q, q * j
+        return p, q
+    mid = (a + b) // 2
+    p1, q1 = _reciprocal_block(a, mid)
+    p2, q2 = _reciprocal_block(mid, b)
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
+def harmonic_sums(terms: tuple[tuple[int, int], ...], order: int) -> list[Fraction]:
+    """sum_{(c, w) in terms} w H_{c n} for n = 0, ..., order.
+
+    Step n adds, per term, the block sum_{c(n-1) < j <= cn} 1/j, summed by
+    binary splitting (Haible-Papanikolaou).  The blocks are combined
+    unreduced and the running total is reduced once per step.  Unlike
+    harmonic, nothing is cached between calls.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    total = Fraction(0)
+    out = [total]
+    for n in range(1, order + 1):
+        num, den = 0, 1
+        for c, w in terms:
+            p, q = _reciprocal_block(c * (n - 1), c * n)
+            num, den = num * q + w * p * den, den * q
+        total += Fraction(num, den)
+        out.append(total)
+    return out

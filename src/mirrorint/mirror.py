@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterator, Optional
 
 from .landau import (
@@ -23,7 +24,9 @@ from .landau import (
     FactorialRatioSpec,
     classify,
     harmonic,
+    harmonic_sums,
     q_ratio,
+    q_ratios,
     root_bound_dl,
 )
 from .padic import primes_up_to, vp_rational
@@ -75,34 +78,24 @@ class MirrorMapBundle:
     F: TruncatedSeries
     levels: tuple[int, ...]
 
+    def _weighted(self, terms: tuple[tuple[int, int], ...]) -> TruncatedSeries:
+        """Coefficient n is Q(n) sum_{(c, w) in terms} w H_{c n}."""
+        return TruncatedSeries(
+            tuple(map(mul, self.F.coeffs, harmonic_sums(terms, self.order)))
+        )
+
     @cached_property
     def G(self) -> TruncatedSeries:
         """Coefficient n is Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n})."""
         spec = self.spec
-        return TruncatedSeries(
-            tuple(
-                q * (
-                    sum(c * harmonic(c * n) for c in spec.e)
-                    - sum(c * harmonic(c * n) for c in spec.f)
-                )
-                if n
-                else Fraction(0)
-                for n, q in enumerate(self.F.coeffs)
-            )
+        return self._weighted(
+            tuple((c, c) for c in spec.e) + tuple((c, -c) for c in spec.f)
         )
 
     @cached_property
     def G_L(self) -> dict[int, TruncatedSeries]:
         """Coefficient n of G_L is Q(n) H_{L n}, for each requested level."""
-        return {
-            level: TruncatedSeries(
-                tuple(
-                    q * harmonic(level * n) if n else Fraction(0)
-                    for n, q in enumerate(self.F.coeffs)
-                )
-            )
-            for level in self.levels
-        }
+        return {level: self._weighted(((level, 1),)) for level in self.levels}
 
     @cached_property
     def _f_inv(self) -> list:
@@ -154,7 +147,7 @@ def build_bundle(
         for level in levels:
             if not 1 <= level <= spec.max_entry:
                 raise ValueError(f"level {level} outside [1, {spec.max_entry}]")
-    f_series = TruncatedSeries(tuple(q_ratio(spec, n) for n in range(order + 1)))
+    f_series = TruncatedSeries(tuple(q_ratios(spec, order)))
     return MirrorMapBundle(spec=spec, order=order, F=f_series, levels=tuple(levels))
 
 

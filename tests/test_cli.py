@@ -16,7 +16,7 @@ from mirrorint.cli import (
     parse_spec,
 )
 from mirrorint.landau import q_ratio
-from mirrorint.series import TruncatedSeries
+from mirrorint.mirror import MirrorMapBundle
 
 
 class TestParseSpec:
@@ -87,6 +87,33 @@ class TestExitCodes:
         assert captured.out == ""
         assert "outside [1, 6]" in captured.err
 
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_corpus_order_below_one_is_usage_error(self, order, capsys):
+        assert main(["corpus", "--order", order]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "order must be >= 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "what,bound",
+        [
+            ("phi", "--a-max"),
+            ("phi", "--k-max"),
+            ("s", "--s-max"),
+            ("harmonic", "--s-max"),
+            ("harmonic", "--m-max"),
+            ("lemma24", "--m-max"),
+        ],
+    )
+    def test_negative_grid_bound_rejected(self, what, bound, capsys):
+        # An empty grid would otherwise report member: true.
+        with pytest.raises(SystemExit) as exc:
+            main(["padic", "--spec", "6/3,2,1", "--p", "2", "--what", what, bound, "-1"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bound}: must be >= 0, got -1" in captured.err
+
     def test_huge_coefficients_serialize(self, capsys):
         # Q(10) has more decimal digits than Python's default int->str limit.
         spec = "1806/903,602,258,42,1"
@@ -137,15 +164,17 @@ class TestCorpusRunner:
             (e.name, e.detail) for e in entries if not e.passed
         ]
 
-    def test_injected_corruption_detected(self):
-        def corrupt(name, series):
-            if name != "6/3,2,1":
-                return series
-            coeffs = list(series.coeffs)
-            coeffs[3] += Fraction(1, 7)
-            return TruncatedSeries(tuple(coeffs))
+    def test_injected_corruption_detected(self, monkeypatch):
+        root_coeffs = MirrorMapBundle.root_coeffs
 
-        entries = corpus_runner(corrupt=corrupt)
+        def corrupted(bundle, level=None, v=1):
+            coeffs = list(root_coeffs(bundle, level, v))
+            if str(bundle.spec) == "6/3,2,1" and level == 1:
+                coeffs[3] += Fraction(1, 7)
+            return iter(coeffs)
+
+        monkeypatch.setattr(MirrorMapBundle, "root_coeffs", corrupted)
+        entries = corpus_runner()
         failing = [e for e in entries if not e.passed]
         assert [e.name for e in failing] == ["6/3,2,1"]
 

@@ -5,6 +5,12 @@ of q, q_L and their roots, before the integer exp kernel replaced it.  They
 cover the corpus, verify and series for the corpus specs at their corpus
 orders (q and every level), wrong roots and a non-Landau spec, whose reports
 carry first_bad_index and first_bad_coefficient, and a Zhou batch.
+
+The digests after the first Zhou batch were captured from q_ratio,
+harmonic's prefix cache and Fraction-valued profiles, before F, G and G_L
+were built step by step on integers.  They cover delta for the corpus specs,
+the 1806 Zhou spec, a non-Landau and an unbalanced spec; F and G for the
+corpus specs at their corpus orders; and a Zhou batch that reaches k = 1806.
 """
 
 import contextlib
@@ -141,6 +147,26 @@ GOLDEN = (
     ("series --spec 2,2/3,1 --target qL --L 2 --order 20", 0, "564b6215a0ee8819f3138e3355a3748bf9973a0c019fbdec6c316986de92708f"),
     ("verify --spec 2,2/3,1 --target q --order 20", 1, "4a12082c03596e00918e9c61b7f2fb5c42316da0c526a9a858f8c726764d3149"),
     ("zhou --n-max 4 --order 30", 0, "34bd538457406c0f9760e438f2af9ecaf9b778469a7f810672e4be14f5699e34"),
+    ("delta --spec 6/3,2,1", 0, "84ecbde9106a7c703d37caf101e5679392cf691953758086b00ad99beb312e1c"),
+    ("delta --spec 12/4,3,3,2", 0, "5ba0a539938b651167bd298fd17f3b84d6e140072d02aecca4172f727e135e24"),
+    ("delta --spec 3/1,1,1", 0, "c02b30e94d1e92921141e802c76291645a97c1c22120b53a3c2c070ccbad563b"),
+    ("delta --spec 2/1,1", 0, "516360776ae6583f3c26418179dc4c4c1912b197fbe9985c46ea19af237c1230"),
+    ("delta --spec 30,1/15,10,6", 0, "2e03d4ffecb968804878a9acb8a2c493dcda9ca3200e623c0a23f01ed336e287"),
+    ("delta --spec 1806/903,602,258,42,1", 0, "f5f420e26529f67417dedd0536f5abb986de1b46690b351be34e72d17ca8081e"),
+    ("delta --spec 2,2/3,1", 0, "266e6d668b05b28c193b948e72013b928ed6377cfbea2dffb5d5d42646c8b349"),
+    ("delta --spec 3/1,1", 0, "f627aee1ac30dc2ba42fddba01178155bb0081ce18ed551e72ada7e886cc7cd3"),
+    ("series --spec 6/3,2,1 --target F --order 40", 0, "f751ec791a79cc9854751ad7dc2687c43530ddb32805786613ad600e23747dc4"),
+    ("series --spec 6/3,2,1 --target G --order 40", 0, "d4d58bd92e7a6db5568e0bfd1ba3bc46fe2142f1e0917fca20dbce28473b6edd"),
+    ("series --spec 12/4,3,3,2 --target F --order 30", 0, "6cb45a7efdf6baf5c4ba61a3a7c5f5fa870dd33e7d0694d9b06d4abc0bb13df9"),
+    ("series --spec 12/4,3,3,2 --target G --order 30", 0, "edf5054407b727fbfbe0157286673f49d9fa5390f1d9a6fd2bd4a2b173d09e6d"),
+    ("series --spec 3/1,1,1 --target F --order 40", 0, "f90b3f9f1cee30d3b14430fdfdc11215e7d6a8a63e213f9e2955f0fe0400d2de"),
+    ("series --spec 3/1,1,1 --target G --order 40", 0, "a34ae41a3f426daa2498f02dee9b2a8f24f620a36aba42bc33cb0764bdae09d7"),
+    ("series --spec 2/1,1 --target F --order 40", 0, "bb0d72bc37b909038aa5083f43e737989622ea9339984a6dc33a28e588c42160"),
+    ("series --spec 2/1,1 --target G --order 40", 0, "1b10f24a4fcf9f3080b7519da57934a4b5145d2964116d9307378a567390060c"),
+    ("series --spec 30,1/15,10,6 --target F --order 40", 0, "dc85456ea2bc37625645b31f5aa602d6c370ff242ae7fd9731ecc83724059956"),
+    ("series --spec 30,1/15,10,6 --target G --order 40", 0, "db71eaeaa0f39f4e77d3a41300c9f4afdbc0a48c41b6e9a015a4f86ee5b36bc7"),
+    ("series --spec 1806/903,602,258,42,1 --target G --order 8", 0, "2dad44cb0c76b69a37a889a0b6c92623fba0b6452aadfe3858d8dff3f2be5b4e"),
+    ("zhou --n-max 5 --order 10", 0, "8e398387946c9fa81913d0d30ab717c582f5fa66e3e4959ec01fe8646fc7bf7f"),
 )
 
 

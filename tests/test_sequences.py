@@ -1,0 +1,105 @@
+"""The step-by-step sequences against the random-access primitives.
+
+q_ratios is checked against q_ratio, harmonic_sums against harmonic, and
+profile and classify against oracles that value every candidate breakpoint
+i/c as a Fraction with delta_at.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mirrorint.landau import (
+    FactorialRatioSpec,
+    LandauProfile,
+    classify,
+    delta_at,
+    harmonic,
+    harmonic_sums,
+    profile,
+    q_ratio,
+    q_ratios,
+)
+from mirrorint.zhou import enumerate_decompositions
+
+ZHOU_SPECS = tuple(
+    instance.spec for n in range(1, 6) for instance in enumerate_decompositions(n)
+)
+Z1806 = FactorialRatioSpec((1806,), (903, 602, 258, 42, 1))
+UNBALANCED = FactorialRatioSpec((3,), (1, 1))
+NON_LANDAU = FactorialRatioSpec((2, 2), (3, 1))
+
+entries = st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple)
+# Balanced and unbalanced, Landau and not, and every Zhou spec (k up to 1806).
+specs = st.one_of(
+    st.builds(FactorialRatioSpec, entries, entries),
+    st.sampled_from(ZHOU_SPECS),
+)
+
+
+@given(spec=specs, order=st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+@example(spec=Z1806, order=8)
+@example(spec=UNBALANCED, order=12)
+@example(spec=NON_LANDAU, order=12)
+def test_q_ratios_match_q_ratio(spec, order):
+    values = q_ratios(spec, order)
+    assert len(values) == order + 1
+    for n, value in enumerate(values):
+        expected = q_ratio(spec, n)
+        assert value == expected
+        assert isinstance(value, int) == (expected.denominator == 1)
+
+
+terms = st.lists(
+    st.tuples(st.integers(1, 40), st.integers(-40, 40)), max_size=4
+).map(tuple)
+
+
+@given(terms=terms, order=st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+@example(terms=tuple((c, c) for c in Z1806.e) + tuple((c, -c) for c in Z1806.f), order=6)
+@example(terms=((1, 1),), order=40)
+def test_harmonic_sums_match_harmonic(terms, order):
+    values = harmonic_sums(terms, order)
+    assert len(values) == order + 1
+    for n, value in enumerate(values):
+        assert value == sum(w * harmonic(c * n) for c, w in terms)
+
+
+def _profile_oracle(spec):
+    points = sorted({Fraction(i, c) for c in spec.e + spec.f for i in range(c)})
+    values = tuple(delta_at(spec, b) for b in points)
+    jumps = []
+    for i, b in enumerate(points):
+        if i == 0 and not spec.balanced:
+            continue
+        jumps.append((b, values[i] - values[i - 1]))  # i = 0 wraps to the last piece
+    return LandauProfile(tuple(points), values, tuple(jumps))
+
+
+def _classify_oracle(spec):
+    prof = _profile_oracle(spec)
+    pieces = list(zip(prof.breakpoints, prof.values))
+    negative = [b for b, v in pieces if v < 0]
+    if delta_at(spec, Fraction(1)) < 0:
+        negative.append(Fraction(1))
+    zero = [b for b, v in pieces if b >= Fraction(1, spec.max_entry) and v < 1]
+    return tuple(negative), tuple(zero)
+
+
+@given(spec=specs)
+@settings(max_examples=80, deadline=None)
+@example(spec=Z1806)
+@example(spec=UNBALANCED)
+@example(spec=NON_LANDAU)
+@example(spec=FactorialRatioSpec((30, 1), (15, 10, 6)))
+def test_profile_and_classify_match_fraction_oracle(spec):
+    assert profile(spec) == _profile_oracle(spec)
+    verdict = classify(spec)
+    negative, zero = _classify_oracle(spec)
+    assert verdict.negative_witnesses == negative
+    assert verdict.zero_witnesses == zero
+    assert verdict.landau_integral == (not negative)
+    assert verdict.case_i == (not zero)
