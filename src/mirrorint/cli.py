@@ -247,15 +247,14 @@ def cmd_exponents(args) -> int:
 
 def cmd_padic(args) -> int:
     spec = parse_spec(args.spec)
+    levels = [args.level] if args.level else range(1, spec.max_entry + 1)
     reports = []
-    ok = True
     for p in args.primes:
         if args.what == "phi":
-            levels = [args.level] if args.level else range(1, spec.max_entry + 1)
-            for level in levels:
-                reports.append(
-                    padic.phi_membership_scan(spec, level, p, args.a_max, args.k_max)
-                )
+            reports += [
+                padic.phi_membership_scan(spec, level, p, args.a_max, args.k_max)
+                for level in levels
+            ]
         elif args.what == "s":
             reports.append(
                 padic.s_membership_scan(
@@ -263,51 +262,11 @@ def cmd_padic(args) -> int:
                 )
             )
         elif args.what == "harmonic":
-            levels = [args.level] if args.level else range(1, spec.max_entry + 1)
-            for level in levels:
-                for s in range(args.s_max + 1):
-                    for m in range(args.m_max + 1):
-                        rep = padic.lemma_harmonic_check(spec, level, p, s, m)
-                        if not rep.member:
-                            reports.append(rep)
-            reports.append(
-                padic.PadicMembershipReport(
-                    prime=p,
-                    required_valuation=0,
-                    value_description=(
-                        f"harmonic lemma grid s<={args.s_max}, m<={args.m_max}"
-                    ),
-                    actual_valuation=0,
-                    member=not any(
-                        not r.member for r in reports if r.prime == p
-                    ),
-                    witness=None,
-                )
+            reports += padic.lemma_harmonic_scan(
+                spec, p, args.s_max, args.m_max, args.level
             )
-        elif args.what == "lemma24":
-            member = True
-            witness = None
-            for s in (1, 2):
-                for a in range(p**s):
-                    for level in range(1, spec.max_entry + 1):
-                        for m in range(args.m_max + 1):
-                            if not padic.lemma24_check(
-                                p, s, a, spec.max_entry, m, level
-                            ):
-                                member = False
-                                if witness is None:
-                                    witness = (s, a, level, m)
-            reports.append(
-                padic.PadicMembershipReport(
-                    prime=p,
-                    required_valuation=0,
-                    value_description=f"lemma24 grid m<={args.m_max}",
-                    actual_valuation=0,
-                    member=member,
-                    witness=witness,
-                )
-            )
-        ok = ok and all(r.member for r in reports)
+        else:
+            reports.append(padic.lemma24_scan(spec, p, args.m_max, args.level))
     emit(
         {
             "command": "padic",
@@ -317,7 +276,7 @@ def cmd_padic(args) -> int:
         },
         args.output,
     )
-    return EXIT_OK if ok else EXIT_FAILED
+    return EXIT_OK if all(r.member for r in reports) else EXIT_FAILED
 
 
 def _zhou_rows(summary: zhou.BatchSummary) -> list[dict]:

@@ -13,7 +13,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 
 __all__ = [
@@ -29,6 +28,7 @@ __all__ = [
     "root_bound_dl",
     "pochhammer_form",
     "harmonic",
+    "harmonic_block",
     "harmonic_sums",
 ]
 
@@ -132,9 +132,8 @@ def _pochhammer(x: Fraction, n: int) -> Fraction:
     return acc
 
 
-@lru_cache(maxsize=None)
 def q_ratio(spec: FactorialRatioSpec, n: int) -> Fraction:
-    """The factorial ratio prod (e_i n)! / prod (f_j n)! as an exact rational."""
+    """prod (e_i n)! / prod (f_j n)! from scratch, the reference for q_ratios."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     num = math.prod(math.factorial(c * n) for c in spec.e)
@@ -261,17 +260,19 @@ def pochhammer_form(spec: FactorialRatioSpec) -> PochhammerForm:
     )
 
 
-_HARMONIC: list[Fraction] = [Fraction(0)]
-
-
 def harmonic(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0.  Memoized incrementally."""
+    """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0.
+
+    Summed term by term over the running lcm(1..k), the reference for the
+    binary splitting in harmonic_block and harmonic_sums.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while len(_HARMONIC) <= n:
-        k = len(_HARMONIC)
-        _HARMONIC.append(_HARMONIC[-1] + Fraction(1, k))
-    return _HARMONIC[n]
+    num, den = 0, 1
+    for k in range(1, n + 1):
+        scale = k // math.gcd(den, k)
+        num, den = num * scale + den * scale // k, den * scale
+    return Fraction(num, den)
 
 
 def _reciprocal_block(a: int, b: int) -> tuple[int, int]:
@@ -288,13 +289,19 @@ def _reciprocal_block(a: int, b: int) -> tuple[int, int]:
     return p1 * q2 + p2 * q1, q1 * q2
 
 
+def harmonic_block(a: int, b: int) -> Fraction:
+    """H_b - H_a = sum_{a < j <= b} 1/j for 0 <= a <= b, by binary splitting."""
+    if not 0 <= a <= b:
+        raise ValueError("harmonic_block needs 0 <= a <= b")
+    return Fraction(*_reciprocal_block(a, b))
+
+
 def harmonic_sums(terms: tuple[tuple[int, int], ...], order: int) -> list[Fraction]:
     """sum_{(c, w) in terms} w H_{c n} for n = 0, ..., order.
 
     Step n adds, per term, the block sum_{c(n-1) < j <= cn} 1/j, summed by
     binary splitting (Haible-Papanikolaou).  The blocks are combined
-    unreduced and the running total is reduced once per step.  Unlike
-    harmonic, nothing is cached between calls.
+    unreduced and the running total is reduced once per step.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

@@ -10,7 +10,9 @@ explicit finite grids.
 
 Infinite sums over the level index l are truncated at the first l where all
 remaining terms vanish (p^l beyond the argument times M); the cutoffs are
-computed, never guessed.
+computed, never guessed.  Q and H_{Ln} are read from tables built by
+q_ratios and harmonic_sums once per scan or public call, and each difference
+H_b - H_a is one harmonic_block.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .landau import FactorialRatioSpec, classify, delta_at, harmonic, q_ratio, root_bound_dl
+from .landau import (
+    FactorialRatioSpec,
+    classify,
+    delta_at,
+    harmonic_block,
+    harmonic_sums,
+    q_ratios,
+    root_bound_dl,
+)
 from .series import TruncatedSeries
 
 __all__ = [
@@ -40,7 +50,9 @@ __all__ = [
     "dwork_decomposition_check",
     "lemma_ablanc_check",
     "lemma24_check",
+    "lemma24_scan",
     "lemma_harmonic_check",
+    "lemma_harmonic_scan",
     "congruence25_check",
     "congruence_star_check",
     "s_membership_scan",
@@ -123,16 +135,18 @@ def vp_q_ratio_via_delta(spec: FactorialRatioSpec, n: int, p: int) -> int:
     return total
 
 
-def _series_min_vp(
-    ser: TruncatedSeries, p: int, start: int = 0
-) -> tuple[Valuation, Optional[int]]:
-    worst: Valuation = INFINITE
-    where = None
-    for idx in range(start, ser.order + 1):
-        v = vp_rational(ser[idx], p)
-        if v < worst:
-            worst, where = v, idx
-    return worst, where
+def _coefficients_in_pz(ser: TruncatedSeries, p: int, what: str):
+    """Coefficients 1..N of ser in p Z_p; the witness is the first least valuation."""
+    valuations = [vp_rational(ser[idx], p) for idx in range(1, ser.order + 1)]
+    worst = min(valuations, default=INFINITE)
+    return PadicMembershipReport(
+        prime=p,
+        required_valuation=1,
+        value_description=f"coefficients 1..N of {what}",
+        actual_valuation=worst,
+        member=worst >= 1,
+        witness=None if worst >= 1 else (valuations.index(worst) + 1,),
+    )
 
 
 def dwork_quotient_test(f_series: TruncatedSeries, p: int) -> PadicMembershipReport:
@@ -146,15 +160,7 @@ def dwork_quotient_test(f_series: TruncatedSeries, p: int) -> PadicMembershipRep
     if f_series[0] != 1:
         raise ValueError("dwork_quotient_test requires constant term 1")
     quotient = f_series.substitute_power(p) * (f_series**p).reciprocal()
-    worst, where = _series_min_vp(quotient, p, start=1)
-    return PadicMembershipReport(
-        prime=p,
-        required_valuation=1,
-        value_description="coefficients 1..N of F(z^p)/F(z)^p",
-        actual_valuation=worst,
-        member=worst >= 1,
-        witness=None if worst >= 1 else (where,),
-    )
+    return _coefficients_in_pz(quotient, p, "F(z^p)/F(z)^p")
 
 
 def dwork_exp_test(f_series: TruncatedSeries, p: int) -> PadicMembershipReport:
@@ -168,36 +174,35 @@ def dwork_exp_test(f_series: TruncatedSeries, p: int) -> PadicMembershipReport:
     if f_series[0] != 0:
         raise ValueError("dwork_exp_test requires a zero constant term")
     diff = f_series.substitute_power(p) - f_series.scale(p)
-    worst, where = _series_min_vp(diff, p, start=1)
-    return PadicMembershipReport(
-        prime=p,
-        required_valuation=1,
-        value_description="coefficients 1..N of f(z^p) - p f(z)",
-        actual_valuation=worst,
-        member=worst >= 1,
-        witness=None if worst >= 1 else (where,),
-    )
+    return _coefficients_in_pz(diff, p, "f(z^p) - p f(z)")
 
 
-def _q_at(spec: FactorialRatioSpec, n: int) -> Fraction:
-    # Q extended by 0 on negative arguments, as in the split sums.
-    return q_ratio(spec, n) if n >= 0 else Fraction(0)
+def _tables(spec, p: int, a: int, big_k: int, level: Optional[int] = None):
+    """Q(n), and H_{Ln} given a level, for n <= a + Kp: all points a'<=a, K'<=K read."""
+    if not 0 <= a < p:
+        raise ValueError("a must satisfy 0 <= a < p")
+    top = a + big_k * p
+    if level is None:
+        return q_ratios(spec, top), None
+    # H as integer numerators over one denominator, so each sum is reduced once.
+    h = harmonic_sums(((level, 1),), top)
+    den = math.lcm(*(x.denominator for x in h))
+    return q_ratios(spec, top), ([x.numerator * (den // x.denominator) for x in h], den)
+
+
+def _phi(q, h, p: int, a: int, big_k: int) -> Fraction:
+    nums, den = h
+    total = 0
+    for j in range(big_k + 1):
+        total += q[big_k - j] * q[a + j * p] * (nums[big_k - j] - p * nums[a + j * p])
+    return Fraction(total, den)
 
 
 def phi(
     spec: FactorialRatioSpec, level: int, p: int, a: int, big_k: int
 ) -> Fraction:
     """The z^{a+Kp} coefficient of F(z) G_L(z^p) - p F(z^p) G_L(z)."""
-    if not 0 <= a < p:
-        raise ValueError("a must satisfy 0 <= a < p")
-    total = Fraction(0)
-    for j in range(big_k + 1):
-        total += (
-            q_ratio(spec, big_k - j)
-            * q_ratio(spec, a + j * p)
-            * (harmonic(level * (big_k - j)) - p * harmonic(level * (a + j * p)))
-        )
-    return total
+    return _phi(*_tables(spec, p, a, big_k, level), p, a, big_k)
 
 
 def phi_membership_scan(
@@ -212,11 +217,12 @@ def phi_membership_scan(
     if not verdict.case_i:
         raise ValueError(f"spec {spec} is not in case (i)")
     required = 1 + int(vp_int(root_bound_dl(spec, level), p))
+    q, h = _tables(spec, p, min(a_max, p - 1), k_max, level)
     worst: Valuation = INFINITE
     witness = None
     for a in range(min(a_max, p - 1) + 1):
         for big_k in range(k_max + 1):
-            v = vp_rational(phi(spec, level, p, a, big_k), p)
+            v = vp_rational(_phi(q, h, p, a, big_k), p)
             if v < worst:
                 worst = v
             if v < required and witness is None:
@@ -231,19 +237,20 @@ def phi_membership_scan(
     )
 
 
+def _s_sum(q, a: int, big_k: int, s: int, p: int, m: int) -> int | Fraction:
+    # Terms with j > K vanish: both products then hold a Q at a negative
+    # argument (a + (K-j)p < a - p < 0), so every index read here is >= 0.
+    total = 0
+    for j in range(m * p**s, min((m + 1) * p**s, big_k + 1)):
+        total += q[a + j * p] * q[big_k - j] - q[j] * q[a + (big_k - j) * p]
+    return total
+
+
 def s_sum(
     spec: FactorialRatioSpec, a: int, big_k: int, s: int, p: int, m: int
 ) -> Fraction:
     """S(a,K,s,p,m): the block sum over j in [m p^s, (m+1) p^s)."""
-    if not 0 <= a < p:
-        raise ValueError("a must satisfy 0 <= a < p")
-    total = Fraction(0)
-    # Terms with j > K vanish: both products then contain a Q at a negative
-    # argument (a + (K-j)p < a - p < 0).
-    for j in range(m * p**s, min((m + 1) * p**s, big_k + 1)):
-        total += q_ratio(spec, a + j * p) * _q_at(spec, big_k - j)
-        total -= q_ratio(spec, j) * _q_at(spec, a + (big_k - j) * p)
-    return total
+    return Fraction(_s_sum(_tables(spec, p, a, big_k)[0], a, big_k, s, p, m))
 
 
 def mu_and_g(spec: FactorialRatioSpec, p: int, m: int) -> tuple[int, int]:
@@ -259,6 +266,13 @@ def mu_and_g(spec: FactorialRatioSpec, p: int, m: int) -> tuple[int, int]:
     return mu, p**mu
 
 
+def _w_term(q, level: int, a: int, big_k: int, s: int, p: int, m: int) -> Fraction:
+    block = _s_sum(q, a, big_k, s, p, m)
+    if block == 0:
+        return Fraction(0)
+    return harmonic_block(level * (m // p) * p ** (s + 1), level * m * p**s) * block
+
+
 def w_term(
     spec: FactorialRatioSpec,
     level: int,
@@ -269,12 +283,16 @@ def w_term(
     m: int,
 ) -> Fraction:
     """W_L = (H_{L m p^s} - H_{L floor(m/p) p^{s+1}}) S(a,K,s,p,m)."""
-    block = s_sum(spec, a, big_k, s, p, m)
-    if block == 0:
-        return Fraction(0)
-    return (
-        harmonic(level * m * p**s) - harmonic(level * (m // p) * p ** (s + 1))
-    ) * block
+    return _w_term(_tables(spec, p, a, big_k)[0], level, a, big_k, s, p, m)
+
+
+def _dwork_sum(q, h, p: int, a: int, big_k: int) -> Fraction:
+    """sum_j H_{Lj} (Q(a+jp)Q(K-j) - Q(j)Q(a+(K-j)p)), with h as from _tables."""
+    nums, den = h
+    total = 0
+    for j in range(big_k + 1):
+        total += nums[j] * (q[a + j * p] * q[big_k - j] - q[j] * q[a + (big_k - j) * p])
+    return Fraction(total, den)
 
 
 def dwork_decomposition_check(
@@ -286,22 +304,15 @@ def dwork_decomposition_check(
     sum of W_L over s <= r and m < p^{r+1-s}, where r is the least integer
     with K < p^r.  Both sides are evaluated exactly.
     """
-    if not 0 <= a < p:
-        raise ValueError("a must satisfy 0 <= a < p")
-    lhs = Fraction(0)
-    for j in range(big_k + 1):
-        lhs += harmonic(level * j) * (
-            q_ratio(spec, a + j * p) * _q_at(spec, big_k - j)
-            - q_ratio(spec, j) * _q_at(spec, a + (big_k - j) * p)
-        )
+    q, h = _tables(spec, p, a, big_k, level)
     r = 0
     while big_k >= p**r:
         r += 1
     rhs = Fraction(0)
     for s in range(r + 1):
         for m in range(p ** (r + 1 - s)):
-            rhs += w_term(spec, level, a, big_k, s, p, m)
-    return lhs == rhs
+            rhs += _w_term(q, level, a, big_k, s, p, m)
+    return _dwork_sum(q, h, p, a, big_k) == rhs
 
 
 def lemma_ablanc_check(spec: FactorialRatioSpec, p: int, m: int) -> bool:
@@ -361,16 +372,44 @@ def lemma24_check(
     return True
 
 
+def lemma24_scan(
+    spec: FactorialRatioSpec, p: int, m_max: int, level: Optional[int] = None
+) -> PadicMembershipReport:
+    """lemma24_check over s in {1, 2}, a < p^s, every level (or one), m <= m_max.
+
+    The lemma is a predicate on fractional parts, so the report carries no
+    valuation: required and actual are both 0, and member says whether every
+    grid point passed.  The witness is the first failing (s, a, L, m).
+    """
+    big_m = spec.max_entry
+    levels = range(1, big_m + 1) if level is None else (level,)
+    failing = (
+        (s, a, lev, m)
+        for s in (1, 2)
+        for a in range(p**s)
+        for lev in levels
+        for m in range(m_max + 1)
+        if not lemma24_check(p, s, a, big_m, m, lev)
+    )
+    witness = next(failing, None)
+    where = "" if level is None else f"L={level}, "
+    return PadicMembershipReport(
+        prime=p,
+        required_valuation=0,
+        value_description=f"lemma24 grid {where}m<={m_max}",
+        actual_valuation=0,
+        member=witness is None,
+        witness=witness,
+    )
+
+
 def lemma_harmonic_check(
     spec: FactorialRatioSpec, level: int, p: int, s: int, m: int
 ) -> PadicMembershipReport:
     """p^{s+1} g_p(m) (H_{L m p^s} - H_{L floor(m/p) p^{s+1}}) in p D_L Z_p."""
     _, g = mu_and_g(spec, p, m)
-    value = (
-        p ** (s + 1)
-        * g
-        * (harmonic(level * m * p**s) - harmonic(level * (m // p) * p ** (s + 1)))
-    )
+    block = harmonic_block(level * (m // p) * p ** (s + 1), level * m * p**s)
+    value = p ** (s + 1) * g * block
     required = 1 + int(vp_int(root_bound_dl(spec, level), p))
     actual = vp_rational(value, p)
     return PadicMembershipReport(
@@ -383,17 +422,43 @@ def lemma_harmonic_check(
     )
 
 
+def lemma_harmonic_scan(
+    spec: FactorialRatioSpec, p: int, s_max: int, m_max: int, level: Optional[int] = None
+) -> list[PadicMembershipReport]:
+    """lemma_harmonic_check over every level (or one), s <= s_max, m <= m_max.
+
+    Returns the report of each failing point, then a summary row with the
+    required and actual valuation of the point of smallest margin
+    actual - required (the first in (L, s, m) order on a tie).
+    """
+    levels = range(1, spec.max_entry + 1) if level is None else (level,)
+    points = [
+        lemma_harmonic_check(spec, lev, p, s, m)
+        for lev in levels
+        for s in range(s_max + 1)
+        for m in range(m_max + 1)
+    ]
+    failing = [rep for rep in points if not rep.member]
+    closest = min(points, key=lambda r: r.actual_valuation - r.required_valuation)
+    summary = PadicMembershipReport(
+        prime=p,
+        required_valuation=closest.required_valuation,
+        value_description=f"harmonic lemma grid s<={s_max}, m<={m_max}",
+        actual_valuation=closest.actual_valuation,
+        member=not failing,
+        witness=None,
+    )
+    return failing + [summary]
+
+
 def congruence25_check(
     spec: FactorialRatioSpec, level: int, p: int, a: int, j: int
 ) -> bool:
     """p H_{L(a+jp)} = H_{Lj} + sum_{i<=floor(La/p)} 1/(Lj+i)  (mod p Z_p)."""
     if not 0 <= a < p:
         raise ValueError("a must satisfy 0 <= a < p")
-    tail = sum(
-        (Fraction(1, level * j + i) for i in range(1, (level * a) // p + 1)),
-        Fraction(0),
-    )
-    diff = p * harmonic(level * (a + j * p)) - harmonic(level * j) - tail
+    head_and_tail = harmonic_block(0, level * j + (level * a) // p)
+    diff = p * harmonic_block(0, level * (a + j * p)) - head_and_tail
     return vp_rational(diff, p) >= 1
 
 
@@ -401,12 +466,8 @@ def congruence_star_check(
     spec: FactorialRatioSpec, level: int, p: int, a: int, big_k: int
 ) -> bool:
     """phi + sum_j H_{Lj}(Q(a+jp)Q(K-j) - Q(j)Q(a+(K-j)p)) in p D_L Z_p."""
-    residual = phi(spec, level, p, a, big_k)
-    for j in range(big_k + 1):
-        residual += harmonic(level * j) * (
-            q_ratio(spec, a + j * p) * _q_at(spec, big_k - j)
-            - q_ratio(spec, j) * _q_at(spec, a + (big_k - j) * p)
-        )
+    q, h = _tables(spec, p, a, big_k, level)
+    residual = _phi(q, h, p, a, big_k) + _dwork_sum(q, h, p, a, big_k)
     required = 1 + int(vp_int(root_bound_dl(spec, level), p))
     return vp_rational(residual, p) >= required
 
@@ -423,6 +484,8 @@ def s_membership_scan(
     verdict = classify(spec)
     if not verdict.case_i:
         raise ValueError(f"spec {spec} is not in case (i)")
+    q, _ = _tables(spec, p, min(a_max, p - 1), k_max)
+    mus = [mu_and_g(spec, p, m)[0] for m in range(m_max + 1)]
     worst_margin: Valuation = INFINITE
     worst: Valuation = INFINITE
     witness = None
@@ -430,9 +493,8 @@ def s_membership_scan(
         for big_k in range(k_max + 1):
             for s in range(s_max + 1):
                 for m in range(m_max + 1):
-                    mu, _ = mu_and_g(spec, p, m)
-                    required = s + 1 + mu
-                    v = vp_rational(s_sum(spec, a, big_k, s, p, m), p)
+                    required = s + 1 + mus[m]
+                    v = vp_rational(_s_sum(q, a, big_k, s, p, m), p)
                     margin = v - required
                     if margin < worst_margin:
                         worst_margin, worst = margin, v

@@ -266,32 +266,3 @@ class TruncatedSeries:
     def integrality(self) -> IntegralityReport:
         return integrality_report(self.coeffs, self.order)
 
-    def max_root_exponent(self) -> tuple[int, tuple[int, ...]]:
-        """Largest v with an integral v-th root at this order, plus all passing v.
-
-        Candidates are the positive divisors of the first nonzero coefficient
-        a_j (j >= 1), because the z^j coefficient of a^{1/v} is a_j / v.  This
-        is a certificate at the truncation order only, not a proof for the
-        full series.
-        """
-        if self.coeffs[0] != 1:
-            raise ValueError("max_root_exponent requires constant term 1")
-        if not self.integrality().integral:
-            raise ValueError("max_root_exponent requires an integral series")
-        j = next((n for n in range(1, self.order + 1) if self.coeffs[n] != 0), None)
-        if j is None:
-            raise ValueError(
-                "series is 1 at this order; root exponent is unbounded"
-            )
-        target = abs(int(self.coeffs[j]))
-        divisors = set()
-        d = 1
-        while d * d <= target:
-            if target % d == 0:
-                divisors.update((d, target // d))
-            d += 1
-        divisors = sorted(divisors)
-        passing = tuple(
-            v for v in divisors if self.vth_root(v).integrality().integral
-        )
-        return passing[-1], passing

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mirrorint import padic
 from mirrorint.cli import (
     EXIT_FAILED,
     EXIT_OK,
@@ -122,6 +126,68 @@ class TestExitCodes:
         top = payload["coefficients"][10]
         assert len(top["num"]) > 4300 and top["den"] == "1"
         assert _parse_decimal(top["num"]) == q_ratio(parse_spec(spec), 10)
+
+
+class TestPadicScans:
+    @pytest.mark.parametrize(
+        "s_max,m_max,actual", [("1", "3", 3), ("0", "0", "inf")]
+    )
+    def test_harmonic_summary_row_is_the_tightest_point(
+        self, s_max, m_max, actual, capsys
+    ):
+        argv = ["padic", "--spec", "6/3,2,1", "--p", "2", "--what", "harmonic"]
+        code = main(argv + ["--s-max", s_max, "--m-max", m_max])
+        assert code == EXIT_OK
+        (row,) = json.loads(capsys.readouterr().out)["reports"]
+        assert row["member"] is True
+        assert (row["required_valuation"], row["actual_valuation"]) == (3, actual)
+
+    @pytest.mark.parametrize("level,seen", [("2", {2}), (None, set(range(1, 7)))])
+    def test_lemma24_scans_only_the_given_level(self, level, seen, monkeypatch, capsys):
+        levels = set()
+        real = padic.lemma24_check
+
+        def spy(p, s, a, big_m, m, level, u=None):
+            levels.add(level)
+            return real(p, s, a, big_m, m, level, u)
+
+        monkeypatch.setattr(padic, "lemma24_check", spy)
+        argv = ["padic", "--spec", "6/3,2,1", "--p", "3", "--what", "lemma24"]
+        argv += ["--m-max", "5"] + (["--L", level] if level else [])
+        assert main(argv) == EXIT_OK
+        assert levels == seen
+        (row,) = json.loads(capsys.readouterr().out)["reports"]
+        where = f"L={level}, " if level else ""
+        assert row["value_description"] == f"lemma24 grid {where}m<=5"
+
+    def test_harmonic_scan_runs_in_256_mib(self):
+        # A child interpreter with its address space capped; the prefix list
+        # of harmonic numbers this grid used to fill ran out of memory here.
+        resource = pytest.importorskip("resource")
+        cap = 256 * 2**20
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        if hard != resource.RLIM_INFINITY:
+            cap = min(cap, hard)
+        child = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {hard}))\n"
+            "from mirrorint.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["padic", "--spec", "12/4,3,3,2", "--p", "7", "--what", "harmonic"]
+        argv += ["--L", "12", "--s-max", "3", "--m-max", "13"]
+        src = os.path.dirname(os.path.dirname(padic.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        rows = json.loads(proc.stdout)["reports"]
+        assert rows and all(row["member"] is True for row in rows)
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorint import landau, padic
 from mirrorint.landau import (
     FactorialRatioSpec,
     classify,
@@ -210,3 +211,10 @@ def test_harmonic_values():
     assert harmonic(0) == 0
     assert harmonic(1) == 1
     assert harmonic(3) == Fraction(11, 6)
+
+
+def test_no_process_global_caches():
+    # q_ratio and harmonic recompute from scratch; padic reads neither.
+    assert not hasattr(q_ratio, "cache_info")
+    assert not hasattr(landau, "_HARMONIC")
+    assert not {"q_ratio", "harmonic"} & set(vars(padic))

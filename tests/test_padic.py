@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorint.landau import FactorialRatioSpec, harmonic, q_ratio
+from mirrorint import padic
+from mirrorint.landau import FactorialRatioSpec, classify, harmonic, q_ratio
 from mirrorint.mirror import build_bundle
 from mirrorint.padic import (
     INFINITE,
+    PadicMembershipReport,
     congruence25_check,
     congruence_star_check,
     dwork_decomposition_check,
@@ -16,8 +18,10 @@ from mirrorint.padic import (
     dwork_quotient_test,
     is_prime,
     lemma24_check,
+    lemma24_scan,
     lemma_ablanc_check,
     lemma_harmonic_check,
+    lemma_harmonic_scan,
     mu_and_g,
     phi,
     phi_membership_scan,
@@ -28,12 +32,29 @@ from mirrorint.padic import (
     w_term,
 )
 from mirrorint.series import TruncatedSeries
+from mirrorint.zhou import enumerate_decompositions
 
 S6 = FactorialRatioSpec((6,), (3, 2, 1))
 S2 = FactorialRatioSpec((2,), (1, 1))
 S12 = FactorialRatioSpec((12,), (4, 3, 3, 2))
 TRIVIAL = FactorialRatioSpec((1,), (1,))
 CASE_II = FactorialRatioSpec((30, 1), (15, 10, 6))
+
+# Case-(i) specs: multinomials (N)/(f) that pass the D >= 1 test, and the
+# unit-fraction specs with at most four terms (k up to 42).
+case_i_specs = st.one_of(
+    st.lists(st.integers(1, 6), min_size=1, max_size=4)
+    .map(lambda f: FactorialRatioSpec((sum(f),), tuple(f)))
+    .filter(lambda spec: classify(spec).case_i),
+    st.sampled_from(
+        [inst.spec for n in range(1, 5) for inst in enumerate_decompositions(n)]
+    ),
+)
+
+
+def _qq(spec, x, y):
+    """Q(x) Q(y), with Q extended by 0 to negative arguments."""
+    return q_ratio(spec, x) * q_ratio(spec, y) if x >= 0 and y >= 0 else 0
 
 
 class TestValuation:
@@ -195,6 +216,48 @@ class TestSplitSum:
             assert report.member, (p, report.witness)
 
 
+class TestDifferentialOracles:
+    """phi and S from per-call tables against their defining sums over q_ratio."""
+
+    @given(
+        spec=case_i_specs,
+        raw_level=st.integers(0, 100),
+        p=st.sampled_from([2, 3, 5, 7]),
+        raw_a=st.integers(0, 6),
+        big_k=st.integers(0, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_phi_matches_defining_sum(self, spec, raw_level, p, raw_a, big_k):
+        level, a = 1 + raw_level % spec.max_entry, raw_a % p
+        expected = sum(
+            (
+                _qq(spec, big_k - j, a + j * p)
+                * (harmonic(level * (big_k - j)) - p * harmonic(level * (a + j * p)))
+                for j in range(big_k + 1)
+            ),
+            Fraction(0),
+        )
+        assert phi(spec, level, p, a, big_k) == expected
+
+    @given(
+        spec=case_i_specs,
+        p=st.sampled_from([2, 3, 5]),
+        raw_a=st.integers(0, 4),
+        big_k=st.integers(0, 6),
+        s=st.integers(0, 2),
+        m=st.integers(0, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_s_sum_matches_defining_sum(self, spec, p, raw_a, big_k, s, m):
+        a = raw_a % p
+        # the whole block, with no cut at j = K
+        expected = sum(
+            _qq(spec, a + j * p, big_k - j) - _qq(spec, j, a + (big_k - j) * p)
+            for j in range(m * p**s, (m + 1) * p**s)
+        )
+        assert s_sum(spec, a, big_k, s, p, m) == expected
+
+
 class TestMuAndG:
     def test_zero(self):
         assert mu_and_g(S6, 5, 0) == (0, 1)
@@ -278,6 +341,12 @@ class TestLemma24:
         with pytest.raises(ValueError):
             lemma24_check(3, 1, 2, 6, 1, 2, u=5)
 
+    def test_scan_one_level(self):
+        report = lemma24_scan(S12, 3, 10, level=4)
+        assert report.member and report.witness is None
+        assert report.value_description == "lemma24 grid L=4, m<=10"
+        assert lemma24_scan(S12, 3, 10).value_description == "lemma24 grid m<=10"
+
     def test_exhaustive_small_grid(self):
         for p in (2, 3):
             for s in (1, 2):
@@ -289,6 +358,38 @@ class TestLemma24:
 
 
 class TestLemmaHarmonic:
+    def test_scan_summary_is_the_tightest_point(self):
+        rows = lemma_harmonic_scan(S6, 2, 1, 3)
+        assert len(rows) == 1 and rows[0].member
+        points = [
+            lemma_harmonic_check(S6, level, 2, s, m)
+            for level in range(1, 7)
+            for s in range(2)
+            for m in range(4)
+        ]
+        margins = [r.actual_valuation - r.required_valuation for r in points]
+        tightest = points[margins.index(min(margins))]
+        assert (rows[0].required_valuation, rows[0].actual_valuation) == (
+            tightest.required_valuation,
+            tightest.actual_valuation,
+        )
+
+    def test_scan_lists_failing_points_first(self, monkeypatch):
+        real = padic.lemma_harmonic_check
+
+        def weakened(spec, level, p, s, m):
+            report = real(spec, level, p, s, m)
+            if (level, s, m) == (2, 1, 1):
+                return PadicMembershipReport(
+                    p, report.required_valuation, "forced", 0, False, (level, s, m)
+                )
+            return report
+
+        monkeypatch.setattr(padic, "lemma_harmonic_check", weakened)
+        rows = lemma_harmonic_scan(S6, 3, 1, 2)
+        assert [r.witness for r in rows] == [(2, 1, 1), None]
+        assert not rows[-1].member and rows[-1].actual_valuation == 0
+
     def test_m_zero(self):
         report = lemma_harmonic_check(S6, 3, 5, 1, 0)
         assert report.member and report.actual_valuation == INFINITE

@@ -1,6 +1,7 @@
 """The step-by-step sequences against the random-access primitives.
 
-q_ratios is checked against q_ratio, harmonic_sums against harmonic, and
+q_ratios is checked against q_ratio, harmonic_sums and harmonic_block against
+harmonic (itself against a plain sum of unit fractions), and
 profile and classify against oracles that value every candidate breakpoint
 i/c as a Fraction with delta_at.
 """
@@ -16,6 +17,7 @@ from mirrorint.landau import (
     classify,
     delta_at,
     harmonic,
+    harmonic_block,
     harmonic_sums,
     profile,
     q_ratio,
@@ -66,6 +68,21 @@ def test_harmonic_sums_match_harmonic(terms, order):
     assert len(values) == order + 1
     for n, value in enumerate(values):
         assert value == sum(w * harmonic(c * n) for c, w in terms)
+
+
+@given(bounds=st.lists(st.integers(0, 400), min_size=2, max_size=2).map(sorted))
+@settings(max_examples=50, deadline=None)
+@example(bounds=[0, 0])
+@example(bounds=[17, 17])
+@example(bounds=[5, 23])  # one binary split: the block is longer than a leaf
+def test_harmonic_block_is_a_difference_of_harmonics(bounds):
+    a, b = bounds
+    assert harmonic_block(a, b) == harmonic(b) - harmonic(a)
+
+
+def test_harmonic_is_the_sum_of_unit_fractions():
+    for n in range(60):
+        assert harmonic(n) == sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
 def _profile_oracle(spec):

@@ -172,26 +172,3 @@ class TestIntegrality:
         assert not report.integral
         assert report.first_bad_index == 1
         assert report.first_bad_coefficient == Fraction(1, 2)
-
-
-class TestMaxRootExponent:
-    def test_perfect_power(self):
-        a = TruncatedSeries.from_coeffs([1, 1], order=12) ** 6
-        best, passing = a.max_root_exponent()
-        assert best == 6
-        assert passing == (1, 2, 3, 6)
-
-    def test_divisor_closure(self):
-        # Heninger: the passing exponents are exactly the divisors of the max
-        a = TruncatedSeries.from_coeffs([1, 1], order=12) ** 12
-        best, passing = a.max_root_exponent()
-        assert best == 12
-        assert set(passing) == {d for d in range(1, 13) if 12 % d == 0}
-
-    def test_identically_one_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries.one(6).max_root_exponent()
-
-    def test_non_integral_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries.from_coeffs([1, Fraction(1, 2)]).max_root_exponent()
