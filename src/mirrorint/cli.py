@@ -335,6 +335,8 @@ CORPUS = (
     ("2/1,1", 40, "case_i"),
     ("30,1/15,10,6", 40, "case_ii"),
 )
+ZHOU_N_MAX = 4
+ZHOU_ORDER = 30
 
 
 @dataclass
@@ -344,11 +346,7 @@ class CorpusEntry:
     detail: str
 
 
-def corpus_runner(
-    order: Optional[int] = None,
-    zhou_n_max: int = 4,
-    zhou_order: int = 30,
-) -> list[CorpusEntry]:
+def corpus_runner(order: Optional[int] = None) -> list[CorpusEntry]:
     """Run the built-in regression corpus and return per-entry verdicts.
 
     order=None runs each entry at its own corpus order.
@@ -391,7 +389,7 @@ def corpus_runner(
                     else "expected a case-(ii) nonintegrality witness",
                 )
             )
-    summary = zhou.batch(zhou_n_max, zhou_order)
+    summary = zhou.batch(ZHOU_N_MAX, ZHOU_ORDER)
     for v in summary.verdicts:
         entries.append(
             CorpusEntry(
@@ -429,10 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirrorint",
         description="Exact integrality certificates for canonical q-coordinates",
-    )
-    parser.add_argument(
-        "--seed",
-        help="rejected: all computation is deterministic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -493,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        parser.error("--seed is not supported: all computation is deterministic")
     try:
         for p in getattr(args, "primes", None) or ():
             if not padic.is_prime(p):
@@ -505,7 +497,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if not 1 <= level <= big_m:
                 raise ValueError(f"--L {level} is outside [1, {big_m}]")
         return args.func(args)
-    except (ValueError, mirror.CaseTwoError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -224,10 +224,7 @@ class ReferenceExponents:
     omega_exponent: Optional[Fraction] = None   # Omega_N * Q(1) * q1 * N
 
 
-def reference_exponents(
-    spec: FactorialRatioSpec,
-    wolstenholme: frozenset[int] = KNOWN_WOLSTENHOLME_PRIMES,
-) -> ReferenceExponents:
+def reference_exponents(spec: FactorialRatioSpec) -> ReferenceExponents:
     """Theta_L for every level, and Xi_N / Omega_N for (N,..,N)/(1,..,1) shapes.
 
     Xi_N = prod_{p<=N} p^{min(2+xi(p,N), v_p(H_N))} with xi(p,N)=1 iff p is a
@@ -256,9 +253,10 @@ def reference_exponents(
     xi = Fraction(1)
     omega = Fraction(1)
     for p in primes_up_to(n_val):
-        xi_flag = 1 if (p in wolstenholme or n_val % p == 0) else 0
+        known = p in KNOWN_WOLSTENHOLME_PRIMES
+        xi_flag = 1 if (known or n_val % p == 0) else 0
         xi *= Fraction(p) ** min(2 + xi_flag, vp_rational(h_n, p))
-        om_flag = 1 if (p in wolstenholme or n_val % p in (1, p - 1)) else 0
+        om_flag = 1 if (known or n_val % p in (1, p - 1)) else 0
         shifted = h_n - 1
         v_shift = vp_rational(shifted, p) if shifted else 2 + om_flag
         omega *= Fraction(p) ** min(2 + om_flag, v_shift)

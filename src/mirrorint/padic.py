@@ -18,7 +18,7 @@ H_b - H_a is one harmonic_block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -87,11 +87,7 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(bound: int) -> list[int]:
-    out = []
-    for n in range(2, bound + 1):
-        if all(n % p for p in out if p * p <= n):
-            out.append(n)
-    return out
+    return [n for n in range(2, bound + 1) if is_prime(n)]
 
 
 def vp_int(n: int, p: int) -> Valuation:
@@ -129,8 +125,7 @@ def vp_q_ratio_via_delta(spec: FactorialRatioSpec, n: int, p: int) -> int:
     total = 0
     pl = p
     while pl <= n * spec.max_entry:
-        frac = Fraction(n, pl)
-        total += delta_at(spec, frac - math.floor(frac))
+        total += delta_at(spec, Fraction(n % pl, pl))
         pl *= p
     return total
 
@@ -177,6 +172,51 @@ def dwork_exp_test(f_series: TruncatedSeries, p: int) -> PadicMembershipReport:
     return _coefficients_in_pz(diff, p, "f(z^p) - p f(z)")
 
 
+def _floor_log(n: int, p: int) -> int:
+    """floor(log_p n) for n >= 1."""
+    e = 0
+    while p ** (e + 1) <= n:
+        e += 1
+    return e
+
+
+def _frac_below(x: int, pl: int, big_m: int) -> bool:
+    """{x/p^l} < 1/M, decided on integers as M (x mod p^l) < p^l."""
+    return big_m * (x % pl) < pl
+
+
+def _grid_report(p: int, description: str, points) -> PadicMembershipReport:
+    """Reduce (key, required, actual) grid points, taken in grid order.
+
+    member: no point lies below its required valuation; witness: the first
+    failing key.  The row carries the required and actual valuation of the
+    point of least margin actual - required, the first one on a tie (0 and
+    inf for an empty grid).
+    """
+    witness, closest = None, None
+    for key, required, actual in points:
+        if witness is None and actual < required:
+            witness = key
+        if closest is None or actual - required < closest[1] - closest[0]:
+            closest = (required, actual)
+    required, actual = closest or (0, INFINITE)
+    return PadicMembershipReport(
+        prime=p,
+        required_valuation=required,
+        value_description=description,
+        actual_valuation=actual,
+        member=witness is None,
+        witness=witness,
+    )
+
+
+def _scan_tables(spec, p: int, a_max: int, k_max: int, level: Optional[int] = None):
+    """The tables of a case-(i) scan over a <= min(a_max, p-1), K <= k_max."""
+    if not classify(spec).case_i:
+        raise ValueError(f"spec {spec} is not in case (i)")
+    return _tables(spec, p, min(a_max, p - 1), k_max, level)
+
+
 def _tables(spec, p: int, a: int, big_k: int, level: Optional[int] = None):
     """Q(n), and H_{Ln} given a level, for n <= a + Kp: all points a'<=a, K'<=K read."""
     if not 0 <= a < p:
@@ -213,28 +253,15 @@ def phi_membership_scan(
     k_max: int,
 ) -> PadicMembershipReport:
     """phi in p D_L Z_p over the grid 0 <= a <= min(a_max, p-1), 0 <= K <= k_max."""
-    verdict = classify(spec)
-    if not verdict.case_i:
-        raise ValueError(f"spec {spec} is not in case (i)")
+    q, h = _scan_tables(spec, p, a_max, k_max, level)
     required = 1 + int(vp_int(root_bound_dl(spec, level), p))
-    q, h = _tables(spec, p, min(a_max, p - 1), k_max, level)
-    worst: Valuation = INFINITE
-    witness = None
-    for a in range(min(a_max, p - 1) + 1):
-        for big_k in range(k_max + 1):
-            v = vp_rational(_phi(q, h, p, a, big_k), p)
-            if v < worst:
-                worst = v
-            if v < required and witness is None:
-                witness = (a, big_k)
-    return PadicMembershipReport(
-        prime=p,
-        required_valuation=required,
-        value_description=f"phi(L={level}) on a<=min({a_max},p-1), K<={k_max}",
-        actual_valuation=worst,
-        member=witness is None,
-        witness=witness,
+    points = (
+        ((a, big_k), required, vp_rational(_phi(q, h, p, a, big_k), p))
+        for a in range(min(a_max, p - 1) + 1)
+        for big_k in range(k_max + 1)
     )
+    description = f"phi(L={level}) on a<=min({a_max},p-1), K<={k_max}"
+    return _grid_report(p, description, points)
 
 
 def _s_sum(q, a: int, big_k: int, s: int, p: int, m: int) -> int | Fraction:
@@ -255,12 +282,11 @@ def s_sum(
 
 def mu_and_g(spec: FactorialRatioSpec, p: int, m: int) -> tuple[int, int]:
     """mu_p(m) = #{l >= 1 : {m/p^l} in [1/M, 1)} and g_p(m) = p^mu."""
-    threshold = Fraction(1, spec.max_entry)
+    big_m = spec.max_entry
     mu = 0
     pl = p
-    while pl <= m * spec.max_entry:
-        frac = Fraction(m % pl, pl)
-        if frac >= threshold:
+    while pl <= m * big_m:
+        if not _frac_below(m, pl, big_m):
             mu += 1
         pl *= p
     return mu, p**mu
@@ -319,16 +345,10 @@ def lemma_ablanc_check(spec: FactorialRatioSpec, p: int, m: int) -> bool:
     """{m/p^l} >= 1/M for l in [v_p(m)+1, v_p(m)+beta], beta = floor(log_p M)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    threshold = Fraction(1, spec.max_entry)
-    beta = 0
-    while p ** (beta + 1) <= spec.max_entry:
-        beta += 1
+    big_m = spec.max_entry
     v = int(vp_int(m, p))
-    for ell in range(v + 1, v + beta + 1):
-        pl = p**ell
-        if Fraction(m % pl, pl) < threshold:
-            return False
-    return True
+    levels = range(v + 1, v + _floor_log(big_m, p) + 1)
+    return not any(_frac_below(m, p**ell, big_m) for ell in levels)
 
 
 def lemma24_check(
@@ -343,7 +363,8 @@ def lemma24_check(
     """{(a + m p^s)/p^l} >= 1/M for l in [s, s + v_p(Lm+u) + alpha].
 
     alpha = floor(log_p(M/L)).  With u=None, every u in 1..floor(La/p^s) is
-    checked; an empty u-range is vacuously true.
+    checked; an empty u-range is vacuously true.  Every range starts at s,
+    so one walk up to the largest v_p(Lm+u) covers them all.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -358,18 +379,13 @@ def lemma24_check(
         if not 1 <= u <= u_top:
             raise ValueError(f"u must be in [1, {u_top}]")
         u_values = (u,)
-    alpha = 0
-    while p ** (alpha + 1) * level <= big_m:
-        alpha += 1
-    threshold = Fraction(1, big_m)
+    # Lm + u >= 1, so each valuation is finite.
+    v_max = max((int(vp_int(level * m + u_val, p)) for u_val in u_values), default=None)
+    if v_max is None:
+        return True
     point = a + m * p**s
-    for u_val in u_values:
-        top = s + int(vp_int(level * m + u_val, p)) + alpha
-        for ell in range(s, top + 1):
-            pl = p**ell
-            if Fraction(point % pl, pl) < threshold:
-                return False
-    return True
+    top = s + v_max + _floor_log(big_m // level, p)
+    return not any(_frac_below(point, p**ell, big_m) for ell in range(s, top + 1))
 
 
 def lemma24_scan(
@@ -432,23 +448,15 @@ def lemma_harmonic_scan(
     actual - required (the first in (L, s, m) order on a tie).
     """
     levels = range(1, spec.max_entry + 1) if level is None else (level,)
-    points = [
+    reports = [
         lemma_harmonic_check(spec, lev, p, s, m)
         for lev in levels
         for s in range(s_max + 1)
         for m in range(m_max + 1)
     ]
-    failing = [rep for rep in points if not rep.member]
-    closest = min(points, key=lambda r: r.actual_valuation - r.required_valuation)
-    summary = PadicMembershipReport(
-        prime=p,
-        required_valuation=closest.required_valuation,
-        value_description=f"harmonic lemma grid s<={s_max}, m<={m_max}",
-        actual_valuation=closest.actual_valuation,
-        member=not failing,
-        witness=None,
-    )
-    return failing + [summary]
+    points = ((r.witness, r.required_valuation, r.actual_valuation) for r in reports)
+    summary = _grid_report(p, f"harmonic lemma grid s<={s_max}, m<={m_max}", points)
+    return [r for r in reports if not r.member] + [replace(summary, witness=None)]
 
 
 def congruence25_check(
@@ -480,33 +488,15 @@ def s_membership_scan(
     s_max: int,
     m_max: int,
 ) -> PadicMembershipReport:
-    """S(a,K,s,p,m) in p^{s+1} g_p(m) Z_p over the lexicographic grid."""
-    verdict = classify(spec)
-    if not verdict.case_i:
-        raise ValueError(f"spec {spec} is not in case (i)")
-    q, _ = _tables(spec, p, min(a_max, p - 1), k_max)
+    """S(a,K,s,p,m) in p^{s+1} g_p(m) Z_p over the lexicographic (a, K, s, m) grid."""
+    q, _ = _scan_tables(spec, p, a_max, k_max)
     mus = [mu_and_g(spec, p, m)[0] for m in range(m_max + 1)]
-    worst_margin: Valuation = INFINITE
-    worst: Valuation = INFINITE
-    witness = None
-    for a in range(min(a_max, p - 1) + 1):
-        for big_k in range(k_max + 1):
-            for s in range(s_max + 1):
-                for m in range(m_max + 1):
-                    required = s + 1 + mus[m]
-                    v = vp_rational(_s_sum(q, a, big_k, s, p, m), p)
-                    margin = v - required
-                    if margin < worst_margin:
-                        worst_margin, worst = margin, v
-                    if margin < 0 and witness is None:
-                        witness = (a, big_k, s, m)
-    return PadicMembershipReport(
-        prime=p,
-        required_valuation=0,  # margin form: v_p(S) - (s+1+mu) >= 0 pointwise
-        value_description=(
-            f"S on a<=min({a_max},p-1), K<={k_max}, s<={s_max}, m<={m_max}"
-        ),
-        actual_valuation=worst,
-        member=witness is None,
-        witness=witness,
+    points = (
+        ((a, big_k, s, m), s + 1 + mus[m], vp_rational(_s_sum(q, a, big_k, s, p, m), p))
+        for a in range(min(a_max, p - 1) + 1)
+        for big_k in range(k_max + 1)
+        for s in range(s_max + 1)
+        for m in range(m_max + 1)
     )
+    description = f"S on a<=min({a_max},p-1), K<={k_max}, s<={s_max}, m<={m_max}"
+    return _grid_report(p, description, points)

@@ -1,8 +1,10 @@
+import contextlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorint import padic
@@ -50,6 +52,38 @@ case_i_specs = st.one_of(
         [inst.spec for n in range(1, 5) for inst in enumerate_decompositions(n)]
     ),
 )
+
+
+PRIMES_TO_13 = [2, 3, 5, 7, 11, 13]
+
+
+def _frac(x, pl):
+    """{x/pl} as an exact Fraction."""
+    return Fraction(x, pl) % 1
+
+
+def _floor_log(bound, p):
+    """The largest e with p^e <= bound, for a rational bound in [1, 12]."""
+    return max(e for e in range(4) if p**e <= bound)
+
+
+def _vp(n, p):
+    """v_p(n) for 1 <= n < 2^12."""
+    return max(e for e in range(12) if n % p**e == 0)
+
+
+@contextlib.contextmanager
+def _moduli_examined():
+    """Collect each p^l at which padic tests a fractional part {x/p^l}."""
+    seen = set()
+    real = padic._frac_below
+
+    def spy(x, pl, big_m):
+        seen.add(pl)
+        return real(x, pl, big_m)
+
+    with mock.patch.object(padic, "_frac_below", spy):
+        yield seen
 
 
 def _qq(spec, x, y):
@@ -215,6 +249,24 @@ class TestSplitSum:
             )
             assert report.member, (p, report.witness)
 
+    def test_scan_summary_is_the_tightest_point(self):
+        report = s_membership_scan(S6, 2, a_max=6, k_max=6, s_max=1, m_max=4)
+        points = [
+            (
+                s + 1 + mu_and_g(S6, 2, m)[0],
+                vp_rational(s_sum(S6, a, big_k, s, 2, m), 2),
+            )
+            for a in range(2)
+            for big_k in range(7)
+            for s in range(2)
+            for m in range(5)
+        ]
+        margins = [actual - required for required, actual in points]
+        tightest = points[margins.index(min(margins))]
+        assert report.member
+        assert (report.required_valuation, report.actual_valuation) == tightest
+        assert tightest == (3, 3)  # at (a, K, s, m) = (0, 1, 0, 1)
+
 
 class TestDifferentialOracles:
     """phi and S from per-call tables against their defining sums over q_ratio."""
@@ -355,6 +407,73 @@ class TestLemma24:
                         for a in range(p**s):
                             for m in range(0, 12):
                                 assert lemma24_check(p, s, a, big_m, m, level)
+
+
+class TestFractionalPartOracles:
+    """mu_p, lemma A and lemma 2.4 against their Fraction definitions.
+
+    Both lemmas hold on every input drawn here, so each walk runs to its end,
+    and the moduli p^l it examines are compared too: a walk that stops short
+    would still answer True.
+    """
+
+    @given(
+        p=st.sampled_from(PRIMES_TO_13), big_m=st.integers(1, 12), m=st.integers(0, 200)
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(p=2, big_m=4, m=1)  # {1/4} = 1/M exactly
+    def test_mu_and_g(self, p, big_m, m):
+        spec = FactorialRatioSpec((big_m,), (big_m,))
+        # p^l > 200 * 12 once l >= 12, and then {m/p^l} = m/p^l < 1/M.
+        mu = sum(1 for ell in range(1, 12) if _frac(m, p**ell) >= Fraction(1, big_m))
+        assert mu_and_g(spec, p, m) == (mu, p**mu)
+
+    @given(
+        p=st.sampled_from(PRIMES_TO_13), big_m=st.integers(1, 12), m=st.integers(1, 200)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lemma_ablanc(self, p, big_m, m):
+        spec = FactorialRatioSpec((big_m,), (big_m,))
+        v = _vp(m, p)
+        levels = range(v + 1, v + _floor_log(big_m, p) + 1)
+        with _moduli_examined() as seen:
+            assert lemma_ablanc_check(spec, p, m) == all(
+                _frac(m, p**ell) >= Fraction(1, big_m) for ell in levels
+            )
+        assert seen == {p**ell for ell in levels}
+
+    @given(
+        p=st.sampled_from(PRIMES_TO_13),
+        big_m=st.integers(1, 12),
+        raw_level=st.integers(0, 11),
+        s=st.sampled_from([1, 2, 3]),
+        raw_a=st.integers(0, 13**3 - 1),
+        m=st.integers(0, 200),
+        raw_u=st.integers(0, 11),
+    )
+    @settings(max_examples=300, deadline=None)
+    # u = 1..6 at m = 0: v_2(u) ranges over 0, 1 and 2
+    @example(p=2, big_m=12, raw_level=11, s=1, raw_a=1, m=0, raw_u=0)
+    def test_lemma24(self, p, big_m, raw_level, s, raw_a, m, raw_u):
+        level, a = 1 + raw_level % big_m, raw_a % p**s
+        alpha = _floor_log(Fraction(big_m, level), p)
+        point = a + m * p**s
+
+        def levels(u):
+            return range(s, s + _vp(level * m + u, p) + alpha + 1)
+
+        def holds(u):
+            return all(_frac(point, p**ell) >= Fraction(1, big_m) for ell in levels(u))
+
+        u_values = range(1, level * a // p**s + 1)
+        with _moduli_examined() as seen:
+            assert lemma24_check(p, s, a, big_m, m, level) == all(map(holds, u_values))
+        assert seen == {p**ell for u in u_values for ell in levels(u)}
+        if u_values:
+            u = u_values[raw_u % len(u_values)]
+            with _moduli_examined() as seen:
+                assert lemma24_check(p, s, a, big_m, m, level, u=u) == holds(u)
+            assert seen == {p**ell for ell in levels(u)}
 
 
 class TestLemmaHarmonic:

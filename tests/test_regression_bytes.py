@@ -15,7 +15,10 @@ corpus specs at their corpus orders; and a Zhou batch that reaches k = 1806.
 The padic digests were captured while phi and S still read Q and H through
 q_ratio's lru_cache and harmonic's prefix list, before each scan built its
 own tables from q_ratios and harmonic_sums.  They cover the phi, S and
-lemma24 grids and a one-level phi scan for 6/3,2,1 and 12/4,3,3,2.
+lemma24 grids and a one-level phi scan for 6/3,2,1 and 12/4,3,3,2.  The two
+S digests were captured again when the S row began to carry the required
+valuation s+1+mu_p(m) of its least-margin point instead of 0; the rest of
+those reports is unchanged.
 """
 
 import contextlib
@@ -173,11 +176,11 @@ GOLDEN = (
     ("series --spec 1806/903,602,258,42,1 --target G --order 8", 0, "2dad44cb0c76b69a37a889a0b6c92623fba0b6452aadfe3858d8dff3f2be5b4e"),
     ("zhou --n-max 5 --order 10", 0, "8e398387946c9fa81913d0d30ab717c582f5fa66e3e4959ec01fe8646fc7bf7f"),
     ("padic --spec 6/3,2,1 --p 2 --p 3 --p 5 --p 7 --what phi --k-max 12", 0, "c391e908d3ffa4ef98aae101bd957c39046e213da2ef00ca0eb78df483ef1108"),
-    ("padic --spec 6/3,2,1 --what s --p 2 --p 3 --p 5 --k-max 12 --s-max 2 --m-max 12", 0, "8dc8666a3fd083c2533a18d4018403783e37112b882d998e120f4fdc34c191c7"),
+    ("padic --spec 6/3,2,1 --what s --p 2 --p 3 --p 5 --k-max 12 --s-max 2 --m-max 12", 0, "33d503411e3c02093624f9b36b119be56e3c1f5ff5b0dae986baffa37183cc27"),
     ("padic --spec 6/3,2,1 --what lemma24 --p 2 --p 3 --p 5 --m-max 20", 0, "80b36e19363fdece2e537b11912619ec1344231827997b8c8f183984f6163c0f"),
     ("padic --spec 6/3,2,1 --what phi --p 11 --L 1 --a-max 3 --k-max 8", 0, "26b20d322f8c1894c4a1eeac4484c97111d7b72b9c74f6f1b7a9d56a1542638d"),
     ("padic --spec 12/4,3,3,2 --p 2 --p 3 --p 5 --p 7 --what phi --k-max 12", 0, "a6a31bb7617b56fe9100476d807f6cfbc46a4089a00c4fff2681abd5ffc15a8f"),
-    ("padic --spec 12/4,3,3,2 --what s --p 2 --p 3 --p 5 --k-max 12 --s-max 2 --m-max 12", 0, "7ebe687ade7b134bc7a2c0e85e26c2d2909a8b113ae231386afbca79e348af12"),
+    ("padic --spec 12/4,3,3,2 --what s --p 2 --p 3 --p 5 --k-max 12 --s-max 2 --m-max 12", 0, "73169d1c2d93acae3c0c74c8377e4372fbc67e063df6927280383d4848e4e03f"),
     ("padic --spec 12/4,3,3,2 --what lemma24 --p 2 --p 3 --p 5 --m-max 20", 0, "09ce0515ca8b7fffa1bd468415457142894feed4d2bf19e80f6ced831930b2ba"),
     ("padic --spec 12/4,3,3,2 --what phi --p 11 --L 1 --a-max 3 --k-max 8", 0, "b687c59fd3a9ef254b3534d3096644bef0d2e7558e7aada12043bae39248411e"),
 )
