@@ -4,13 +4,11 @@ from .landau import (
     FactorialRatioSpec,
     LandauProfile,
     Classification,
-    PochhammerForm,
     q_ratio,
     delta_at,
     profile,
     classify,
     root_bound_dl,
-    pochhammer_form,
     harmonic,
 )
 from .series import TruncatedSeries, IntegralityReport
@@ -18,7 +16,6 @@ from .mirror import (
     MirrorMapBundle,
     CaseTwoError,
     build_bundle,
-    product_relation_check,
     verify_theorem1,
     root_exponent_for_q,
     reference_exponents,

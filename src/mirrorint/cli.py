@@ -156,8 +156,6 @@ def cmd_series(args) -> int:
     elif args.target == "q":
         ser = bundle.q_reduced
     else:
-        if level is None:
-            raise ValueError("--target qL requires --L")
         ser = bundle.q_L[level]
     emit(
         {
@@ -178,8 +176,6 @@ def cmd_verify(args) -> int:
     verdict = landau.classify(spec)
     root = args.root
     if args.target == "qL":
-        if args.level is None:
-            raise ValueError("--target qL requires --L")
         if root is None:
             root = landau.root_bound_dl(spec, args.level)
     elif root is None:
@@ -486,12 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Before the subcommand, argparse would read an unknown option's value as it.
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        parser.error(f"unrecognized arguments: {argv[0]}")
     args = parser.parse_args(argv)
     try:
         for p in getattr(args, "primes", None) or ():
             if not padic.is_prime(p):
                 parser.error(f"--p {p} is not prime")
         level = getattr(args, "level", None)
+        if getattr(args, "target", None) == "qL" and level is None:
+            raise ValueError("--target qL requires --L")
         if level is not None:
             big_m = parse_spec(args.spec).max_entry
             if not 1 <= level <= big_m:

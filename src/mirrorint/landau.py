@@ -19,14 +19,12 @@ __all__ = [
     "FactorialRatioSpec",
     "LandauProfile",
     "Classification",
-    "PochhammerForm",
     "q_ratio",
     "q_ratios",
     "delta_at",
     "profile",
     "classify",
     "root_bound_dl",
-    "pochhammer_form",
     "harmonic",
     "harmonic_block",
     "harmonic_sums",
@@ -105,31 +103,6 @@ class Classification:
     case_i: bool
     negative_witnesses: tuple[Fraction, ...] = ()
     zero_witnesses: tuple[Fraction, ...] = ()
-
-
-@dataclass(frozen=True)
-class PochhammerForm:
-    """Q(n) rewritten as C^n times a ratio of Pochhammer products."""
-
-    numerator: tuple[Fraction, ...]
-    denominator: tuple[Fraction, ...]
-    constant: Fraction
-
-    def evaluate(self, n: int) -> Fraction:
-        """Recombine the form at n; must agree with q_ratio."""
-        acc = self.constant ** n
-        for x in self.numerator:
-            acc *= _pochhammer(x, n)
-        for y in self.denominator:
-            acc /= _pochhammer(y, n)
-        return acc
-
-
-def _pochhammer(x: Fraction, n: int) -> Fraction:
-    acc = Fraction(1)
-    for k in range(n):
-        acc *= x + k
-    return acc
 
 
 def q_ratio(spec: FactorialRatioSpec, n: int) -> Fraction:
@@ -234,30 +207,6 @@ def root_bound_dl(spec: FactorialRatioSpec, level: int) -> int:
         raise ValueError(f"level must be in [1, {big_m}], got {level}")
     top = big_m // level
     return math.lcm(*range(1, top + 1)) if top >= 1 else 1
-
-
-def pochhammer_form(spec: FactorialRatioSpec) -> PochhammerForm:
-    """Rewrite Q(n) as C^n times cancelled Pochhammer products.
-
-    Numerator parameters are j/c for each entry c of e and 1 <= j <= c,
-    denominator ones likewise for f; common parameters cancel as multisets
-    and C = prod e_i^{e_i} / prod f_j^{f_j}.
-    """
-    if not spec.balanced:
-        raise ValueError("pochhammer_form requires |e| = |f|")
-    num = Counter(Fraction(j, c) for c in spec.e for j in range(1, c + 1))
-    den = Counter(Fraction(j, c) for c in spec.f for j in range(1, c + 1))
-    common = num & den
-    num -= common
-    den -= common
-    constant = Fraction(
-        math.prod(c**c for c in spec.e), math.prod(c**c for c in spec.f)
-    )
-    return PochhammerForm(
-        numerator=tuple(sorted(num.elements())),
-        denominator=tuple(sorted(den.elements())),
-        constant=constant,
-    )
 
 
 def harmonic(n: int) -> Fraction:

@@ -23,9 +23,8 @@ from .landau import (
     Classification,
     FactorialRatioSpec,
     classify,
-    harmonic,
+    harmonic_block,
     harmonic_sums,
-    q_ratio,
     q_ratios,
     root_bound_dl,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "NonintegralityWitness",
     "KNOWN_WOLSTENHOLME_PRIMES",
     "build_bundle",
-    "product_relation_check",
     "verify_theorem1",
     "root_exponent_for_q",
     "reference_exponents",
@@ -151,16 +149,6 @@ def build_bundle(
     return MirrorMapBundle(spec=spec, order=order, F=f_series, levels=tuple(levels))
 
 
-def product_relation_check(bundle: MirrorMapBundle) -> bool:
-    """Check exp(G/F) = prod q_{e_i}^{e_i} / prod q_{f_j}^{f_j} exactly."""
-    rhs = TruncatedSeries.one(bundle.order)
-    for c in bundle.spec.e:
-        rhs = rhs * bundle.q_L[c] ** c
-    for c in bundle.spec.f:
-        rhs = rhs * bundle.q_L[c].reciprocal() ** c
-    return rhs == bundle.q_reduced
-
-
 def verify_theorem1(
     spec: FactorialRatioSpec, order: int
 ) -> dict[int, IntegralityReport]:
@@ -233,9 +221,12 @@ def reference_exponents(spec: FactorialRatioSpec) -> ReferenceExponents:
     predictions Xi_N Q(1) and Omega_N Q(1) q1 N are the usable exponents.
     """
     big_m = spec.max_entry
-    theta_l = {level: harmonic(level).denominator for level in range(1, big_m + 1)}
-    q_one = q_ratio(spec, 1)
-    q_over = {level: q_one / theta_l[level] for level in theta_l}
+    theta_l = {
+        level: harmonic_block(0, level).denominator for level in range(1, big_m + 1)
+    }
+    q_one = q_ratios(spec, 1)[1]
+    # Q(1) may be an int: Fraction keeps the quotient exact.
+    q_over = {level: Fraction(q_one, theta) for level, theta in theta_l.items()}
 
     ref = ReferenceExponents(spec=spec, theta_l=theta_l, q_one_over_theta=q_over)
 
@@ -249,7 +240,7 @@ def reference_exponents(spec: FactorialRatioSpec) -> ReferenceExponents:
     if not shaped:
         return ref
 
-    h_n = harmonic(n_val)
+    h_n = harmonic_block(0, n_val)
     xi = Fraction(1)
     omega = Fraction(1)
     for p in primes_up_to(n_val):

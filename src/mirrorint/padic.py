@@ -224,25 +224,27 @@ def _tables(spec, p: int, a: int, big_k: int, level: Optional[int] = None):
     top = a + big_k * p
     if level is None:
         return q_ratios(spec, top), None
-    # H as integer numerators over one denominator, so each sum is reduced once.
+    # H as integer numerators over one denominator: sums over it stay unreduced.
     h = harmonic_sums(((level, 1),), top)
     den = math.lcm(*(x.denominator for x in h))
     return q_ratios(spec, top), ([x.numerator * (den // x.denominator) for x in h], den)
 
 
-def _phi(q, h, p: int, a: int, big_k: int) -> Fraction:
-    nums, den = h
+def _phi(q, h, p: int, a: int, big_k: int) -> int | Fraction:
+    """The numerator of phi over h's common denominator, left unreduced."""
+    nums = h[0]
     total = 0
     for j in range(big_k + 1):
         total += q[big_k - j] * q[a + j * p] * (nums[big_k - j] - p * nums[a + j * p])
-    return Fraction(total, den)
+    return total
 
 
 def phi(
     spec: FactorialRatioSpec, level: int, p: int, a: int, big_k: int
 ) -> Fraction:
     """The z^{a+Kp} coefficient of F(z) G_L(z^p) - p F(z^p) G_L(z)."""
-    return _phi(*_tables(spec, p, a, big_k, level), p, a, big_k)
+    q, h = _tables(spec, p, a, big_k, level)
+    return Fraction(_phi(q, h, p, a, big_k), h[1])
 
 
 def phi_membership_scan(
@@ -255,8 +257,9 @@ def phi_membership_scan(
     """phi in p D_L Z_p over the grid 0 <= a <= min(a_max, p-1), 0 <= K <= k_max."""
     q, h = _scan_tables(spec, p, a_max, k_max, level)
     required = 1 + int(vp_int(root_bound_dl(spec, level), p))
+    vp_den = vp_int(h[1], p)
     points = (
-        ((a, big_k), required, vp_rational(_phi(q, h, p, a, big_k), p))
+        ((a, big_k), required, vp_rational(_phi(q, h, p, a, big_k), p) - vp_den)
         for a in range(min(a_max, p - 1) + 1)
         for big_k in range(k_max + 1)
     )
@@ -312,13 +315,13 @@ def w_term(
     return _w_term(_tables(spec, p, a, big_k)[0], level, a, big_k, s, p, m)
 
 
-def _dwork_sum(q, h, p: int, a: int, big_k: int) -> Fraction:
-    """sum_j H_{Lj} (Q(a+jp)Q(K-j) - Q(j)Q(a+(K-j)p)), with h as from _tables."""
-    nums, den = h
+def _dwork_sum(q, h, p: int, a: int, big_k: int) -> int | Fraction:
+    """The numerator of sum_j H_{Lj} (Q(a+jp)Q(K-j) - Q(j)Q(a+(K-j)p)) over h[1]."""
+    nums = h[0]
     total = 0
     for j in range(big_k + 1):
         total += nums[j] * (q[a + j * p] * q[big_k - j] - q[j] * q[a + (big_k - j) * p])
-    return Fraction(total, den)
+    return total
 
 
 def dwork_decomposition_check(
@@ -338,7 +341,7 @@ def dwork_decomposition_check(
     for s in range(r + 1):
         for m in range(p ** (r + 1 - s)):
             rhs += _w_term(q, level, a, big_k, s, p, m)
-    return _dwork_sum(q, h, p, a, big_k) == rhs
+    return Fraction(_dwork_sum(q, h, p, a, big_k), h[1]) == rhs
 
 
 def lemma_ablanc_check(spec: FactorialRatioSpec, p: int, m: int) -> bool:
@@ -477,7 +480,7 @@ def congruence_star_check(
     q, h = _tables(spec, p, a, big_k, level)
     residual = _phi(q, h, p, a, big_k) + _dwork_sum(q, h, p, a, big_k)
     required = 1 + int(vp_int(root_bound_dl(spec, level), p))
-    return vp_rational(residual, p) >= required
+    return vp_rational(residual, p) - vp_int(h[1], p) >= required
 
 
 def s_membership_scan(

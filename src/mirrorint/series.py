@@ -159,11 +159,6 @@ class TruncatedSeries:
     def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
         return TruncatedSeries(

@@ -62,10 +62,11 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total"] == 5 and payload["passed"] == 5
 
-    def test_seed_rejected(self):
+    def test_seed_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--seed", "7", "corpus"])
         assert exc.value.code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
 
     def test_bad_spec_is_usage_error(self, capsys):
         code = main(["verify", "--spec", "6-3", "--order", "5"])
@@ -90,6 +91,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "outside [1, 6]" in captured.err
+
+    @pytest.mark.parametrize("command", ["series", "verify"])
+    def test_level_target_without_level_is_usage_error(self, command, capsys):
+        assert main([command, "--spec", "6/3,2,1", "--target", "qL"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --target qL requires --L\n"
 
     @pytest.mark.parametrize("order", ["0", "-3"])
     def test_corpus_order_below_one_is_usage_error(self, order, capsys):

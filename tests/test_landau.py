@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorint import landau, padic
+from mirrorint import cli, landau, mirror, padic, zhou
 from mirrorint.landau import (
     FactorialRatioSpec,
     classify,
     delta_at,
     harmonic,
-    pochhammer_form,
     profile,
     q_ratio,
     root_bound_dl,
@@ -164,49 +163,6 @@ class TestRootBound:
             root_bound_dl(S6, 0)
 
 
-class TestPochhammer:
-    def test_surviving_parameters(self):
-        form = pochhammer_form(S12)
-        assert form.numerator == tuple(
-            Fraction(n, d)
-            for n, d in [(1, 12), (1, 6), (5, 12), (7, 12), (5, 6), (11, 12)]
-        )
-        # exact multiset cancellation leaves three unit parameters; anything
-        # fewer would not recombine to Q(n)
-        assert sorted(form.denominator) == sorted(
-            [
-                Fraction(1, 3),
-                Fraction(1, 2),
-                Fraction(2, 3),
-                Fraction(1),
-                Fraction(1),
-                Fraction(1),
-            ]
-        )
-        assert form.constant == Fraction(12**12, 4**4 * 3**6 * 2**2)
-
-    def test_simple_cancellation(self):
-        form = pochhammer_form(S2)
-        assert form.numerator == (Fraction(1, 2),)
-        assert form.denominator == (Fraction(1),)
-        assert form.constant == 4
-
-    def test_trivial(self):
-        form = pochhammer_form(TRIVIAL)
-        assert form.numerator == () and form.denominator == ()
-        assert form.constant == 1
-
-    @pytest.mark.parametrize("spec", [S6, S12, S2, TRIVIAL])
-    def test_recombination(self, spec):
-        form = pochhammer_form(spec)
-        for n in range(6):
-            assert form.evaluate(n) == q_ratio(spec, n)
-
-    def test_unbalanced_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer_form(FactorialRatioSpec((2,), (1,)))
-
-
 def test_harmonic_values():
     assert harmonic(0) == 0
     assert harmonic(1) == 1
@@ -214,7 +170,9 @@ def test_harmonic_values():
 
 
 def test_no_process_global_caches():
-    # q_ratio and harmonic recompute from scratch; padic reads neither.
+    # q_ratio and harmonic recompute from scratch and are test references:
+    # no other module of the package reads them.
     assert not hasattr(q_ratio, "cache_info")
     assert not hasattr(landau, "_HARMONIC")
-    assert not {"q_ratio", "harmonic"} & set(vars(padic))
+    for module in (padic, mirror, zhou, cli):
+        assert not {"q_ratio", "harmonic"} & set(vars(module)), module.__name__

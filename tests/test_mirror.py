@@ -8,11 +8,11 @@ from mirrorint.mirror import (
     CaseTwoError,
     build_bundle,
     nonintegrality_witness,
-    product_relation_check,
     reference_exponents,
     root_exponent_for_q,
     verify_theorem1,
 )
+from mirrorint.series import TruncatedSeries
 
 S6 = FactorialRatioSpec((6,), (3, 2, 1))
 S2 = FactorialRatioSpec((2,), (1, 1))
@@ -59,6 +59,16 @@ class TestBuildBundle:
         for level in bundle.G_L:
             assert bundle.G_L[level][0] == 0
             assert bundle.q_L[level][0] == 1
+
+
+def product_relation_check(bundle) -> bool:
+    """Check exp(G/F) = prod q_{e_i}^{e_i} / prod q_{f_j}^{f_j} exactly."""
+    rhs = TruncatedSeries.one(bundle.order)
+    for c in bundle.spec.e:
+        rhs = rhs * bundle.q_L[c] ** c
+    for c in bundle.spec.f:
+        rhs = rhs * bundle.q_L[c].reciprocal() ** c
+    return rhs == bundle.q_reduced
 
 
 class TestProductRelation:

@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorint import padic
-from mirrorint.landau import FactorialRatioSpec, classify, harmonic, q_ratio
+from mirrorint.landau import (
+    FactorialRatioSpec,
+    classify,
+    harmonic,
+    q_ratio,
+    root_bound_dl,
+)
 from mirrorint.mirror import build_bundle
 from mirrorint.padic import (
     INFINITE,
@@ -227,6 +233,10 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi_membership_scan(CASE_II, 1, 3, a_max=2, k_max=5)
 
+    def test_scan_rejects_composite(self):
+        with pytest.raises(ValueError):
+            phi_membership_scan(S6, 1, 4, a_max=3, k_max=4)
+
 
 class TestSplitSum:
     def test_below_block_is_zero(self):
@@ -248,6 +258,10 @@ class TestSplitSum:
                 S6, p, a_max=p - 1, k_max=8, s_max=2, m_max=8
             )
             assert report.member, (p, report.witness)
+
+    def test_scan_rejects_composite(self):
+        with pytest.raises(ValueError):
+            s_membership_scan(S6, 4, a_max=3, k_max=4, s_max=1, m_max=2)
 
     def test_scan_summary_is_the_tightest_point(self):
         report = s_membership_scan(S6, 2, a_max=6, k_max=6, s_max=1, m_max=4)
@@ -540,6 +554,29 @@ class TestCongruences:
                 for a in range(p):
                     for big_k in range(6):
                         assert congruence_star_check(S6, level, p, a, big_k)
+
+    def test_star_congruence_against_definition(self):
+        # 3/1,1,1,1 is in case (i) but its Q(n) are not integers, so the
+        # congruence fails at some points: both verdicts must occur.
+        spec = FactorialRatioSpec((3,), (1, 1, 1, 1))
+        verdicts = set()
+        for level in (1, 2, 3):
+            for p in (2, 3):
+                required = 1 + padic.vp_int(root_bound_dl(spec, level), p)
+                for a in range(p):
+                    for big_k in range(5):
+                        dwork = sum(
+                            harmonic(level * j) * (
+                                _qq(spec, a + j * p, big_k - j)
+                                - _qq(spec, j, a + (big_k - j) * p)
+                            )
+                            for j in range(big_k + 1)
+                        )
+                        residual = phi(spec, level, p, a, big_k) + dwork
+                        expected = vp_rational(residual, p) >= required
+                        assert congruence_star_check(spec, level, p, a, big_k) == expected
+                        verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 def test_is_prime():

@@ -19,6 +19,14 @@ lemma24 grids and a one-level phi scan for 6/3,2,1 and 12/4,3,3,2.  The two
 S digests were captured again when the S row began to carry the required
 valuation s+1+mu_p(m) of its least-margin point instead of 0; the rest of
 those reports is unchanged.
+
+The exponents digests and the two padic digests of the unbalanced spec
+3/1,1,1,1 were captured while reference_exponents still read Q(1) and H_l
+through q_ratio and harmonic, and while phi was reduced to lowest terms at
+every grid point.  They cover Theta, Xi and Omega for the corpus specs, the
+1806 Zhou spec, 4/1,1,1,1, 5/1,1,1,1,1 and a non-Landau spec, and the
+Fraction-valued phi and S sums of a case-(i) spec whose Q(n) are not
+integers (both padic reports exit 1).
 """
 
 import contextlib
@@ -183,6 +191,17 @@ GOLDEN = (
     ("padic --spec 12/4,3,3,2 --what s --p 2 --p 3 --p 5 --k-max 12 --s-max 2 --m-max 12", 0, "73169d1c2d93acae3c0c74c8377e4372fbc67e063df6927280383d4848e4e03f"),
     ("padic --spec 12/4,3,3,2 --what lemma24 --p 2 --p 3 --p 5 --m-max 20", 0, "09ce0515ca8b7fffa1bd468415457142894feed4d2bf19e80f6ced831930b2ba"),
     ("padic --spec 12/4,3,3,2 --what phi --p 11 --L 1 --a-max 3 --k-max 8", 0, "b687c59fd3a9ef254b3534d3096644bef0d2e7558e7aada12043bae39248411e"),
+    ("exponents --spec 6/3,2,1", 0, "241c1bace1b5256e3847c3c9b902342c257d2ceb053e262eec61141616ed05fa"),
+    ("exponents --spec 12/4,3,3,2", 0, "b1673d79352597f70ca5abeb132e01397d7511f3fc1b53148c7a137cbbb592bc"),
+    ("exponents --spec 3/1,1,1", 0, "e0046bce618dacb17102def591b36f0a2cf9323f51da94288b7085d5e93fec86"),
+    ("exponents --spec 2/1,1", 0, "3955a088432379f4708fbf145af02577e2c5dc042d02ae666695c11881598991"),
+    ("exponents --spec 30,1/15,10,6", 0, "a8fce93789a8792e0e562472b6ad1bde86996bd8205f9c345c86553e1e1243d5"),
+    ("exponents --spec 4/1,1,1,1", 0, "24eeb8aec62908eeb73d6d7f051d12993858f8e2da4194e4051b846e883d7073"),
+    ("exponents --spec 5/1,1,1,1,1", 0, "e18bb0e7dae1ad2b70a09e827a870081939e6f1219cc40901cf27fd51901b194"),
+    ("exponents --spec 1806/903,602,258,42,1", 0, "a0ba8e1e836afd55c15759e41c5ac4c7550741567628a6df1f098a10e6b263e8"),
+    ("exponents --spec 2,2/3,1", 0, "9c9bedd7700f1716198394aea5cd60d44b48f98792868d2c1d5ed0818b75029f"),
+    ("padic --spec 3/1,1,1,1 --p 2 --p 3 --p 5 --what phi --k-max 12", 1, "19fb6ed6910d61541831b4c45e46c73c1df7cbb04b11e77e00c588b49cda9c04"),
+    ("padic --spec 3/1,1,1,1 --p 2 --p 3 --p 5 --what s --k-max 12 --s-max 2 --m-max 8", 1, "3d48d096e4f8bd8a950078e7307b7a3c99a55566fc281f6f3185589b39e9cc16"),
 )
 
 
