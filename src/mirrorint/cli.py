@@ -105,14 +105,18 @@ def profile_json(prof: landau.LandauProfile) -> dict:
     }
 
 
-def emit(payload: dict, output: Optional[str]) -> None:
-    payload = {"schema": SCHEMA_VERSION, **payload}
-    text = json.dumps(payload, indent=2) + "\n"
+def write_report(text: str, output: Optional[str]) -> None:
+    """Write text to the file output, or to stdout when output is None."""
     if output:
         with open(output, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def emit(payload: dict, output: Optional[str]) -> None:
+    payload = {"schema": SCHEMA_VERSION, **payload}
+    write_report(json.dumps(payload, indent=2) + "\n", output)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +306,7 @@ def cmd_zhou(args) -> int:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-        text = buf.getvalue()
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        write_report(buf.getvalue(), args.output)
     else:
         emit(
             {

@@ -23,7 +23,6 @@ from .landau import (
     Classification,
     FactorialRatioSpec,
     classify,
-    harmonic_block,
     harmonic_sums,
     q_ratios,
     root_bound_dl,
@@ -34,7 +33,6 @@ from .series import (
     TruncatedSeries,
     exp_quotient_root,
     integrality_report,
-    reciprocal_coeffs,
 )
 
 __all__ = [
@@ -95,17 +93,13 @@ class MirrorMapBundle:
         """Coefficient n of G_L is Q(n) H_{L n}, for each requested level."""
         return {level: self._weighted(((level, 1),)) for level in self.levels}
 
-    @cached_property
-    def _f_inv(self) -> list:
-        return reciprocal_coeffs(self.F.coeffs)
-
     def root_coeffs(self, level: Optional[int] = None, v: int = 1) -> Iterator:
         """Coefficients of exp(G_L/(v F)), or of exp(G/(v F)) for level=None.
 
         Lazy: a consumer that stops early leaves the rest uncomputed.
         """
         g = self.G if level is None else self.G_L[level]
-        return exp_quotient_root(g.coeffs, self._f_inv, v)
+        return exp_quotient_root(g.coeffs, self.F.coeffs, v)
 
     def root_integrality(self, level: Optional[int], v: int) -> IntegralityReport:
         """Integrality of q_L^{1/v} (or (z^-1 q)^{1/v}), up to the first bad index."""
@@ -221,9 +215,8 @@ def reference_exponents(spec: FactorialRatioSpec) -> ReferenceExponents:
     predictions Xi_N Q(1) and Omega_N Q(1) q1 N are the usable exponents.
     """
     big_m = spec.max_entry
-    theta_l = {
-        level: harmonic_block(0, level).denominator for level in range(1, big_m + 1)
-    }
+    h = harmonic_sums(((1, 1),), big_m)  # H_0..H_M
+    theta_l = {level: h[level].denominator for level in range(1, big_m + 1)}
     q_one = q_ratios(spec, 1)[1]
     # Q(1) may be an int: Fraction keeps the quotient exact.
     q_over = {level: Fraction(q_one, theta) for level, theta in theta_l.items()}
@@ -240,7 +233,7 @@ def reference_exponents(spec: FactorialRatioSpec) -> ReferenceExponents:
     if not shaped:
         return ref
 
-    h_n = harmonic_block(0, n_val)
+    h_n = h[n_val]
     xi = Fraction(1)
     omega = Fraction(1)
     for p in primes_up_to(n_val):

@@ -7,8 +7,9 @@ solved through the ODE recurrence b' = a' b, which keeps everything in
 O(N^2) exact-rational operations.
 
 The certifiers do not go through that ring.  exp_quotient_root computes
-exp(h/v) for h = g / f straight from g and 1/f on integers, one coefficient
-at a time, so a verifier can stop at the first non-integral coefficient.
+exp(h/v) for h = g / f on integers, one coefficient at a time: it solves
+f h = g as it goes, never forming 1/f, so a verifier can stop at the first
+non-integral coefficient.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "TruncatedSeries",
     "IntegralityReport",
     "integrality_report",
-    "reciprocal_coeffs",
     "exp_quotient_root",
 ]
 
@@ -62,45 +62,33 @@ def _exact(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def reciprocal_coeffs(coeffs: Sequence[Scalar]) -> list[Scalar]:
-    """Coefficients of 1/a for a with constant term 1.
-
-    Integral coefficients are handled as ints; a non-integral one keeps the
-    arithmetic that touches it in Fractions.
-    """
-    if coeffs[0] != 1:
-        raise ValueError("reciprocal_coeffs requires constant term 1")
-    a = [_exact(c) for c in coeffs]
-    out = [1]
-    for k in range(1, len(a)):
-        out.append(_exact(-sum(map(mul, a[1 : k + 1], reversed(out)))))
-    return out
-
-
 def exp_quotient_root(
-    g: Sequence[Scalar], f_inv: Sequence[Scalar], v: int = 1
+    g: Sequence[Scalar], f: Sequence[Scalar], v: int = 1
 ) -> Iterator[Scalar]:
-    """Yield the coefficients y_0, y_1, ... of exp(h/v), where h = g * f_inv.
+    """Yield the coefficients y_0, y_1, ... of exp(h/v), where f h = g.
 
-    g has g_0 = 0 and f_inv holds the coefficients of 1/f, for instance from
-    reciprocal_coeffs.  With delta_n the lcm of the reduced denominators of
-    g_1..g_n, every h_k * delta_k is an integer when f_inv is integral, and
-    y' = h' y / v becomes
+    g has g_0 = 0 and f has f_0 = 1, so h is solved online from
+    h_n = g_n - sum_{k=1..n-1} f_{n-k} h_k and 1/f is never formed.  With
+    delta_n the lcm of the reduced denominators of g_1..g_n, every
+    h_k * delta_n is an integer when f is integral, and y' = h' y / v becomes
 
-        n v delta_n y_n = sum_{k=1..n} k (h_k delta_k) (delta_n / delta_k) y_{n-k},
+        n v delta_n y_n = sum_{k=1..n} k (h_k delta_n) y_{n-k},
 
     which divides exactly while the root is integral.  A coefficient that
     does not divide is yielded as a Fraction, and the coefficients after it
-    are computed in Fractions on the same path.  Yields min(len(g),
-    len(f_inv)) coefficients.
+    are computed in Fractions on the same path; so is everything that a
+    non-integral f touches.  Yields min(len(g), len(f)) coefficients.
     """
     if v < 1:
         raise ValueError("v must be a positive integer")
     if g[0] != 0:
         raise ValueError("exp_quotient_root requires g_0 = 0")
-    order = min(len(g), len(f_inv)) - 1
+    if f[0] != 1:
+        raise ValueError("exp_quotient_root requires f_0 = 1")
+    order = min(len(g), len(f)) - 1
+    f = [_exact(c) for c in f[: order + 1]]
     delta = 1
-    g_scaled: list[Scalar] = []  # g_j * delta_n, j = 1..n
+    h_scaled: list[Scalar] = []  # h_k * delta_n, k = 1..n
     weights: list[Scalar] = []  # k h_k delta_n, k = 1..n
     y: list[Scalar] = [1]
     yield 1
@@ -109,10 +97,12 @@ def exp_quotient_root(
         step = c.denominator // math.gcd(delta, c.denominator)
         if step != 1:
             delta *= step
-            g_scaled = [x * step for x in g_scaled]
+            h_scaled = [x * step for x in h_scaled]
             weights = [x * step for x in weights]
-        g_scaled.append(c.numerator * (delta // c.denominator))
-        h = sum(map(mul, g_scaled, reversed(f_inv[:n])))
+        h = c.numerator * (delta // c.denominator) - sum(
+            map(mul, f[1:n], reversed(h_scaled))
+        )
+        h_scaled.append(h)
         weights.append(n * h)
         total = sum(map(mul, weights, reversed(y)))
         den = n * v * delta

@@ -27,6 +27,13 @@ every grid point.  They cover Theta, Xi and Omega for the corpus specs, the
 1806 Zhou spec, 4/1,1,1,1, 5/1,1,1,1,1 and a non-Landau spec, and the
 Fraction-valued phi and S sums of a case-(i) spec whose Q(n) are not
 integers (both padic reports exit 1).
+
+The last six digests were captured while exp_quotient_root still took 1/F,
+cached as ints on the bundle, before it solved F h = G directly.  They reach
+past order 40: a level root and a root of q at orders 150-200, the 1806 Zhou
+spec (the largest growth of the common denominator delta), a level map of a
+non-Landau spec whose F is not integral, and a Zhou batch written as CSV to
+stdout.
 """
 
 import contextlib
@@ -202,6 +209,12 @@ GOLDEN = (
     ("exponents --spec 2,2/3,1", 0, "9c9bedd7700f1716198394aea5cd60d44b48f98792868d2c1d5ed0818b75029f"),
     ("padic --spec 3/1,1,1,1 --p 2 --p 3 --p 5 --what phi --k-max 12", 1, "19fb6ed6910d61541831b4c45e46c73c1df7cbb04b11e77e00c588b49cda9c04"),
     ("padic --spec 3/1,1,1,1 --p 2 --p 3 --p 5 --what s --k-max 12 --s-max 2 --m-max 8", 1, "3d48d096e4f8bd8a950078e7307b7a3c99a55566fc281f6f3185589b39e9cc16"),
+    ("verify --spec 6/3,2,1 --target qL --L 1 --order 200", 0, "987f7199bf442cb56f12cdd8dad7886f3feb8e3b3798624126047655c02dc898"),
+    ("verify --spec 12/4,3,3,2 --target q --root 12 --order 150", 0, "0594bbf7bf8eaacb7c5be5be628534304c0d4cea519ffe6fbf16c6e03be0eb68"),
+    ("series --spec 12/4,3,3,2 --target q --order 150", 0, "1baaf9a0ff77d0ca3fd91d1e44ca1267987a469bc0b2fd1abff0d9d12377a56f"),
+    ("verify --spec 1806/903,602,258,42,1 --root 1806 --order 12", 0, "e8d0e6978ccbde9b24643c39c04870c59afeb486d52abf82c459a511e18422b8"),
+    ("series --spec 1,1/2 --target qL --L 2 --order 25", 0, "94caa0aca480a140b5149311476fabfbef31ba3ec6e2f49fe34b9c40c4d1b162"),
+    ("zhou --n-max 2 --order 5 --format csv", 0, "584545ed5daf75c811881ef8ac3a6e97a2a1c56002c29c4c6d0248fd193ee920"),
 )
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mirrorint.landau import FactorialRatioSpec, classify, root_bound_dl
 from mirrorint.mirror import build_bundle
-from mirrorint.series import TruncatedSeries, exp_quotient_root, reciprocal_coeffs
+from mirrorint.series import TruncatedSeries, exp_quotient_root
 
 S6 = FactorialRatioSpec((6,), (3, 2, 1))
 
@@ -43,7 +43,6 @@ def balanced_specs(draw):
 def test_kernel_matches_fraction_ring(spec, order, wrong):
     bundle = build_bundle(spec, order)
     f_inv = bundle.F.reciprocal()
-    assert reciprocal_coeffs(bundle.F.coeffs) == list(f_inv.coeffs)
     targets = [(None, bundle.G, spec.max_entry)] + [
         (level, g, root_bound_dl(spec, level)) for level, g in bundle.G_L.items()
     ]
@@ -53,6 +52,29 @@ def test_kernel_matches_fraction_ring(spec, order, wrong):
             oracle = exp_h.vth_root(v)
             assert list(bundle.root_coeffs(level, v)) == list(oracle.coeffs)
             assert bundle.root_integrality(level, v) == oracle.integrality()
+
+
+@given(
+    f_tail=st.lists(st.integers(-30, 30), min_size=1, max_size=14),
+    g_tail=st.lists(
+        st.fractions(-50, 50, max_denominator=40), min_size=1, max_size=14
+    ),
+    v=st.integers(1, 12),
+)
+@settings(max_examples=60, deadline=None)
+@example(f_tail=[-3, 5, -7, 2], g_tail=[Fraction(1, 6), Fraction(-5, 4), 0, Fraction(7, 9)], v=1)
+@example(f_tail=[-1, -1, -1], g_tail=[2, -4, 6], v=2)
+def test_kernel_on_arbitrary_quotients(f_tail, g_tail, v):
+    # Inputs no bundle produces: f with negative entries, g with any
+    # denominators, and the two of different lengths.
+    f = [1] + f_tail
+    g = [0] + g_tail
+    order = min(len(f), len(g)) - 1
+    oracle = (
+        TruncatedSeries.from_coeffs(g, order)
+        * TruncatedSeries.from_coeffs(f, order).reciprocal()
+    ).exp().vth_root(v)
+    assert list(exp_quotient_root(g, f, v)) == list(oracle.coeffs)
 
 
 def test_classes_of_examples():
@@ -84,7 +106,7 @@ def test_kernel_rejects_bad_input():
     with pytest.raises(ValueError):
         list(exp_quotient_root((0, 1), [1, 0], v=0))
     with pytest.raises(ValueError):
-        reciprocal_coeffs((2, 1))
+        list(exp_quotient_root((0, 1), (2, 1)))
     assert list(exp_quotient_root((0, 1, 0, 0), [1, 0, 0, 0])) == list(
         TruncatedSeries.from_coeffs([0, 1], order=3).exp().coeffs
     )
