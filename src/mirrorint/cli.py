@@ -210,7 +210,7 @@ def cmd_verify(args) -> int:
             "command": "verify",
             "spec": str(spec),
             "target": args.target,
-            "level": args.level,
+            "level": level,
             "root": root,
             "order": args.order,
             "report": integrality_json(report),

@@ -27,7 +27,7 @@ from .landau import (
     q_ratios,
     root_bound_dl,
 )
-from .padic import primes_up_to, vp_rational
+from .padic import dwork_root_index, primes_up_to, vp_rational
 from .series import (
     IntegralityReport,
     TruncatedSeries,
@@ -102,7 +102,17 @@ class MirrorMapBundle:
         return exp_quotient_root(g.coeffs, self.F.coeffs, v)
 
     def root_integrality(self, level: Optional[int], v: int) -> IntegralityReport:
-        """Integrality of q_L^{1/v} (or (z^-1 q)^{1/v}), up to the first bad index."""
+        """Integrality of q_L^{1/v} (or (z^-1 q)^{1/v}), up to the first bad index.
+
+        An integral F lets padic.dwork_root_index certify a pass without the
+        exponential.  A failure, or a non-integral F, runs the exp kernel up
+        to the first bad coefficient, which the report carries exactly.
+        """
+        f = self.F.coeffs
+        if all(c.denominator == 1 for c in f):
+            g = self.G if level is None else self.G_L[level]
+            if dwork_root_index(g.coeffs, f, v, self.order) is None:
+                return IntegralityReport(integral=True, order_checked=self.order)
         return integrality_report(self.root_coeffs(level, v), self.order)
 
     @cached_property

@@ -1,12 +1,14 @@
 """p-adic valuations and the membership predicates behind the root theorems.
 
 Every quantity handled here is an exact rational, so p-adic membership
-statements reduce to valuation comparisons; no truncated p-adic expansions
-are ever formed.  The module exposes the valuation formula for Q(n) through
-the step function, the two Dieudonne-Dwork reduction tests, the coefficient
-functional phi, the split sums S and W with their correction factor
-g_p(m) = p^{mu_p(m)}, and each supporting lemma as an executable check over
-explicit finite grids.
+statements reduce to valuation comparisons or to congruences between
+integers; no truncated p-adic expansions are ever formed.  The module
+exposes the valuation formula for Q(n) through the step function, the two
+Dieudonne-Dwork reduction tests, the root certifier that decides the second
+one for exp(G/(vF)) by congruences mod p^k, the coefficient functional phi,
+the split sums S and W with their correction factor g_p(m) = p^{mu_p(m)},
+and each supporting lemma as an executable check over explicit finite
+grids.
 
 Infinite sums over the level index l are truncated at the first l where all
 remaining terms vanish (p^l beyond the argument times M); the cutoffs are
@@ -18,6 +20,7 @@ H_b - H_a is one harmonic_block.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -42,6 +45,7 @@ __all__ = [
     "vp_q_ratio_via_delta",
     "dwork_quotient_test",
     "dwork_exp_test",
+    "dwork_root_index",
     "phi",
     "phi_membership_scan",
     "s_sum",
@@ -170,6 +174,105 @@ def dwork_exp_test(f_series: TruncatedSeries, p: int) -> PadicMembershipReport:
         raise ValueError("dwork_exp_test requires a zero constant term")
     diff = f_series.substitute_power(p) - f_series.scale(p)
     return _coefficients_in_pz(diff, p, "f(z^p) - p f(z)")
+
+
+def dwork_root_index(g, f, v: int, order: int) -> Optional[int]:
+    """First n <= order with [exp(h/v)]_n not an integer, where f h = g; else None.
+
+    f is integral with f_0 = 1 and g_0 = 0.  For a prime p, dwork_exp_test's
+    equivalence holds coefficient by coefficient: exp(h/v) is p-integral up
+    to z^n exactly when coefficients 1..n of h(z^p) - p h(z) lie in
+    p^{1+v_p(v)} Z_p.  That series is Phi / (f(z) f(z^p)) with
+    Phi = f(z) g(z^p) - p f(z^p) g(z), and f(z) f(z^p) is a unit, so the
+    test reads Phi instead and never forms h or the exponential.
+
+    For p > order, Phi_n = -p g_n: the denominators of g may hold no such
+    prime, and those primes' part of v must divide each numerator.  Each
+    p <= order (p = order included: Phi_p = g_1 - p g_p) is one Kronecker
+    product pair modulo p^{1+v_p(v)+T}, T = v_p(lcm of the denominators).
+    """
+    if v < 1:
+        raise ValueError("v must be a positive integer")
+    if g[0] != 0:
+        raise ValueError("dwork_root_index requires g_0 = 0")
+    if f[0] != 1:
+        raise ValueError("dwork_root_index requires f_0 = 1")
+    if not 0 <= order < min(len(g), len(f)):
+        raise ValueError(f"order must be in [0, {min(len(g), len(f)) - 1}]")
+    if any(c.denominator != 1 for c in f[: order + 1]):
+        raise ValueError("dwork_root_index requires integer f")
+    f = [c.numerator for c in f[: order + 1]]
+    dens = [c.denominator for c in g[: order + 1]]
+    den = math.lcm(*dens)
+    # g_n den: integers, with v_p(w_n) = v_p(g_n) + v_p(den) at every p.
+    w = [c.numerator * (den // d) for c, d in zip(g, dens)]
+    small = primes_up_to(order)
+    primorial = math.prod(small)
+    den_high, v_high = _coprime_part(den, primorial), _coprime_part(v, primorial)
+    # Primes above the order: Phi_n = -p g_n.
+    first = next(
+        (
+            n
+            for n in range(1, order + 1)
+            if math.gcd(dens[n], den_high) > 1 or g[n].numerator % v_high
+        ),
+        None,
+    )
+    moduli = [p ** (1 + vp_int(v, p) + vp_int(den, p)) for p in small]
+    # One pass over the large coefficients reduces them for every prime.
+    common = math.prod(moduli)
+    f, w = [x % common for x in f], [x % common for x in w]
+    for p, m in zip(small, moduli):
+        limit = order if first is None else first - 1
+        if limit == 0:
+            break
+        first = _phi_index(f, w, p, m, limit) or first
+    return first
+
+
+def _coprime_part(x: int, primorial: int) -> int:
+    """x with every prime factor of primorial divided out."""
+    while (d := math.gcd(x, primorial)) > 1:
+        x //= d
+    return x
+
+
+def _phi_index(f: list[int], w: list[int], p: int, m: int, limit: int) -> Optional[int]:
+    """First n in 1..limit with f(z) w(z^p) - p f(z^p) w(z) not 0 mod m at z^n.
+
+    Both products are taken on residues in [0, m) packed into fixed-width
+    slots, -w held as m - w so every slot stays nonnegative; a slot sums at
+    most (limit//p + 1) (1 + p) products below m^2, so none carries.  Slots
+    of 1, 2, 4 or 8 bytes are packed and read back by single struct calls.
+    """
+    terms = limit // p + 1
+    size = ((terms * (p + 1) * (m - 1) ** 2).bit_length() + 7) // 8
+    code = next((c for c in "BHIQ" if struct.calcsize("<" + c) >= size), None)
+    width = struct.calcsize("<" + code) if code else size
+    layout = f"<{limit + 1}{code}"
+
+    def pack(xs: list[int]) -> int:
+        if code:
+            data = struct.pack(layout, *xs)
+        else:
+            data = b"".join(x.to_bytes(width, "little") for x in xs)
+        return int.from_bytes(data, "little")
+
+    fr = [x % m for x in f[: limit + 1]]
+    wr = [x % m for x in w[: limit + 1]]
+    # f(z^p) and w(z^p): every p-th slot, zeros between.
+    f_p, w_p = [0] * (limit + 1), [0] * (limit + 1)
+    f_p[::p], w_p[::p] = fr[:terms], wr[:terms]
+    phi = pack(fr) * pack(w_p) + p * pack(f_p) * pack([-x % m for x in wr])
+    buf = phi.to_bytes(max((phi.bit_length() + 7) // 8, (limit + 1) * width), "little")
+    if code:
+        slots = struct.unpack_from(layout, buf)
+    else:
+        slots = [
+            int.from_bytes(buf[n * width : (n + 1) * width], "little")
+            for n in range(limit + 1)
+        ]
+    return next((n for n, x in enumerate(slots) if n and x % m), None)
 
 
 def _floor_log(n: int, p: int) -> int:

@@ -21,6 +21,7 @@ from mirrorint.cli import (
 )
 from mirrorint.landau import q_ratio
 from mirrorint.mirror import MirrorMapBundle
+from mirrorint.series import TruncatedSeries
 
 
 class TestParseSpec:
@@ -49,6 +50,18 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 1
         assert payload["report"]["integral"] is True
+
+    def test_verify_reports_the_level_it_checked(self, capsys):
+        # --L is ignored for --target q, as in series: the check is on q.
+        argv = ["--spec", "6/3,2,1", "--target", "q", "--L", "3", "--order", "8"]
+        assert main(["verify", *argv]) == EXIT_OK
+        verified = json.loads(capsys.readouterr().out)
+        assert main(["series", *argv]) == EXIT_OK
+        listed = json.loads(capsys.readouterr().out)
+        assert verified["level"] is None and listed["level"] is None
+        argv[argv.index("q")] = "qL"
+        assert main(["verify", *argv]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["level"] == 3
 
     def test_verify_refuses_case_ii_root(self, capsys):
         code = main(["verify", "--spec", "30,1/15,10,6", "--root", "2", "--order", "10"])
@@ -239,15 +252,19 @@ class TestCorpusRunner:
         ]
 
     def test_injected_corruption_detected(self, monkeypatch):
-        root_coeffs = MirrorMapBundle.root_coeffs
+        # Passing roots never reach root_coeffs, so the corruption goes into
+        # G_L, which both certifiers read.
+        g_levels = MirrorMapBundle.G_L.func
 
-        def corrupted(bundle, level=None, v=1):
-            coeffs = list(root_coeffs(bundle, level, v))
-            if str(bundle.spec) == "6/3,2,1" and level == 1:
+        def corrupted(bundle):
+            out = g_levels(bundle)
+            if str(bundle.spec) == "6/3,2,1" and 1 in out:
+                coeffs = list(out[1].coeffs)
                 coeffs[3] += Fraction(1, 7)
-            return iter(coeffs)
+                out[1] = TruncatedSeries(tuple(coeffs))
+            return out
 
-        monkeypatch.setattr(MirrorMapBundle, "root_coeffs", corrupted)
+        monkeypatch.setattr(MirrorMapBundle, "G_L", property(corrupted))
         entries = corpus_runner()
         failing = [e for e in entries if not e.passed]
         assert [e.name for e in failing] == ["6/3,2,1"]

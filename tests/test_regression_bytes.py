@@ -28,12 +28,20 @@ every grid point.  They cover Theta, Xi and Omega for the corpus specs, the
 Fraction-valued phi and S sums of a case-(i) spec whose Q(n) are not
 integers (both padic reports exit 1).
 
-The last six digests were captured while exp_quotient_root still took 1/F,
+The next six digests were captured while exp_quotient_root still took 1/F,
 cached as ints on the bundle, before it solved F h = G directly.  They reach
 past order 40: a level root and a root of q at orders 150-200, the 1806 Zhou
 spec (the largest growth of the common denominator delta), a level map of a
 non-Landau spec whose F is not integral, and a Zhou batch written as CSV to
 stdout.
+
+The last seven digests were captured while every root verdict still ran
+the exp kernel, before passing roots were certified by the Dieudonne-Dwork
+congruence on p-adic residues.  They cover the zhou --n-max 5 --order 20
+batch, level roots of 12/4,3,3,2 at multiples of D_L that pass (2 D_1 at
+L=1, 6 D_5 at L=5) and one that fails (4 D_1), the root of exponent 2k
+of the 1806 Zhou spec, and two prime orders (41 and 43), where the
+prime equal to the order enters the congruence.
 """
 
 import contextlib
@@ -215,6 +223,13 @@ GOLDEN = (
     ("verify --spec 1806/903,602,258,42,1 --root 1806 --order 12", 0, "e8d0e6978ccbde9b24643c39c04870c59afeb486d52abf82c459a511e18422b8"),
     ("series --spec 1,1/2 --target qL --L 2 --order 25", 0, "94caa0aca480a140b5149311476fabfbef31ba3ec6e2f49fe34b9c40c4d1b162"),
     ("zhou --n-max 2 --order 5 --format csv", 0, "584545ed5daf75c811881ef8ac3a6e97a2a1c56002c29c4c6d0248fd193ee920"),
+    ("zhou --n-max 5 --order 20", 0, "a7e3e81c29ea6fbe7cf051f077a2d852d45bc811ca7f0389b01bd366d204c467"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 1 --root 55440 --order 40", 0, "ec58beeb8f08886228db191ce6ea7ebbc97672642a8bb47cdae5c6719b8d729f"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 1 --root 110880 --order 40", 1, "d5548140b8d91aa411d1d16954da88a0f34bf5de0d733ef80bed46aa65624e51"),
+    ("verify --spec 12/4,3,3,2 --target qL --L 5 --root 12 --order 40", 0, "8c2390aaa75bc18c2a2d3e1dfd760528d718dee1d402a7578b9cd33183a81d0b"),
+    ("verify --spec 1806/903,602,258,42,1 --root 3612 --order 12", 0, "adb7444e4f562a50a2d81c3ee7bd2209f0bad32142fb19fe0967b7c39189604e"),
+    ("verify --spec 6/3,2,1 --target qL --L 1 --root 60 --order 41", 0, "20161dda9b369ccc3143888e7827b3c98355af9e14e5d6a55951f8de49278b1a"),
+    ("verify --spec 3/1,1,1 --target q --root 3 --order 43", 0, "d781d7e92e461f8c8a4e8ebcfb2ad9c5371e86d2155af123a7f9c012ae323bee"),
 )
 
 

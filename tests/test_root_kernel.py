@@ -1,18 +1,25 @@
 """The integer exp kernel against the Fraction series ring it replaces.
 
 For every target the oracle is (G_L * F.reciprocal()).exp().vth_root(v)
-(G in place of G_L for q), built with TruncatedSeries only.
+(G in place of G_L for q), built with TruncatedSeries only.  The Dwork
+certifier padic.dwork_root_index is checked against the exp kernel's
+first_bad_index: a bundle falls back to the kernel whenever the certifier
+does not pass, so a wrong failure index would not show in any report.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mirrorint import mirror
 from mirrorint.landau import FactorialRatioSpec, classify, root_bound_dl
 from mirrorint.mirror import build_bundle
-from mirrorint.series import TruncatedSeries, exp_quotient_root
+from mirrorint.padic import dwork_root_index
+from mirrorint.series import TruncatedSeries, exp_quotient_root, integrality_report
+from mirrorint.zhou import enumerate_decompositions
 
 S6 = FactorialRatioSpec((6,), (3, 2, 1))
 
@@ -110,3 +117,119 @@ def test_kernel_rejects_bad_input():
     assert list(exp_quotient_root((0, 1, 0, 0), [1, 0, 0, 0])) == list(
         TruncatedSeries.from_coeffs([0, 1], order=3).exp().coeffs
     )
+
+
+def _case_i_specs() -> list[FactorialRatioSpec]:
+    """Balanced case-(i) specs, |e| <= 2 and |f| <= 5, with entries <= 6."""
+    specs = []
+    for e_len, f_len in itertools.product((1, 2), range(1, 6)):
+        for e in itertools.combinations_with_replacement(range(1, 7), e_len):
+            for f in itertools.combinations_with_replacement(range(1, 7), f_len):
+                spec = FactorialRatioSpec(e, f)
+                if spec.balanced and classify(spec).case_i:
+                    specs.append(spec)
+    return specs
+
+
+def _exp_index(g, f, v, order):
+    """first_bad_index of the exp kernel: the certifier's reference."""
+    return integrality_report(exp_quotient_root(g, f, v), order).first_bad_index
+
+
+@given(
+    spec=st.sampled_from(_case_i_specs()),
+    order=st.integers(1, 30),
+    multiple=st.sampled_from((1, 2, 3, 5, 7)),
+)
+@settings(max_examples=150, deadline=None)
+@example(spec=S6, order=29, multiple=7)
+@example(spec=S6, order=6, multiple=7)  # 7 | v above the order
+@example(spec=FactorialRatioSpec((6,), (1, 1, 1, 3)), order=23, multiple=2)
+@example(spec=FactorialRatioSpec((4,), (1, 1, 2)), order=17, multiple=5)
+def test_dwork_index_matches_exp_kernel(spec, order, multiple):
+    bundle = build_bundle(spec, order)
+    f = bundle.F.coeffs
+    targets = [(bundle.G, spec.max_entry)] + [
+        (g, root_bound_dl(spec, level)) for level, g in bundle.G_L.items()
+    ]
+    for g, natural in targets:
+        v = natural * multiple
+        expected = _exp_index(g.coeffs, f, v, order)
+        assert dwork_root_index(g.coeffs, f, v, order) == expected
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [i for n in (1, 2, 3) for i in enumerate_decompositions(n)],
+    ids=lambda i: ",".join(map(str, i.ks)),
+)
+@pytest.mark.parametrize("multiple", [1, 2, 3])
+def test_dwork_index_matches_exp_kernel_on_zhou(instance, multiple):
+    bundle = build_bundle(instance.spec, 30, levels=())
+    g, f, v = bundle.G.coeffs, bundle.F.coeffs, instance.k * multiple
+    for order in range(1, 31):
+        expected = _exp_index(g[: order + 1], f, v, order)
+        assert dwork_root_index(g, f, v, order) == expected
+
+
+def test_dwork_counts_the_prime_equal_to_the_order():
+    # h = sum_{k<=6} z^k/k: exp(h) = 1/(1-z) up to z^6, then y_7 = 6/7.
+    # Only p = 7 sees it, through Phi_7 = g_1 - 7 g_7.
+    g = [0] + [Fraction(1, k) for k in range(1, 7)] + [0]
+    f = [1] + [0] * 7
+    assert dwork_root_index(g, f, 1, 7) == 7
+    report = integrality_report(exp_quotient_root(g, f, 1), 7)
+    assert (report.first_bad_index, report.first_bad_coefficient) == (7, Fraction(6, 7))
+    assert dwork_root_index(g, f, 1, 6) is None
+
+
+@pytest.mark.parametrize("bad", [None, 7])
+def test_dwork_slots_wider_than_eight_bytes(bad):
+    # g = f h with h = v log(1/(1-z)): exp(h/v) = 1/(1-z), unless g_bad
+    # carries an extra v/2, which puts a half into y_bad.  p = 2 needs
+    # m = 2^41, so a slot holds more than 64 bits.
+    v = 2**40
+    f = [1, 3, -2] + [0] * 10
+    g = [sum(Fraction(v * f[n - k], k) for k in range(1, n + 1)) for n in range(13)]
+    if bad:
+        g[bad] += v // 2
+    assert dwork_root_index(g, f, v, 12) == _exp_index(g, f, v, 12) == bad
+
+
+def test_dwork_rejects_bad_input():
+    with pytest.raises(ValueError):
+        dwork_root_index((0, 1), (1, 1), 0, 1)
+    with pytest.raises(ValueError):
+        dwork_root_index((1, 1), (1, 1), 1, 1)
+    with pytest.raises(ValueError):
+        dwork_root_index((0, 1), (2, 1), 1, 1)
+    with pytest.raises(ValueError):
+        dwork_root_index((0, 1), (1, Fraction(1, 2)), 1, 1)
+    with pytest.raises(ValueError):
+        dwork_root_index((0, 1), (1, 1), 1, 2)
+
+
+def test_non_integral_f_takes_the_exp_route(monkeypatch):
+    spec = FactorialRatioSpec((2, 2), (3, 1))
+    bundle = build_bundle(spec, 20)
+    assert any(c.denominator != 1 for c in bundle.F.coeffs)
+    with pytest.raises(ValueError):
+        dwork_root_index(bundle.G.coeffs, bundle.F.coeffs, 1, 20)
+
+    def refuse(*args):
+        raise AssertionError("the Dwork certifier needs an integral F")
+
+    monkeypatch.setattr(mirror, "dwork_root_index", refuse)
+    for level in (None, *bundle.levels):
+        report = bundle.root_integrality(level, 1)
+        assert report == integrality_report(bundle.root_coeffs(level, 1), 20)
+        assert not report.integral
+
+
+@pytest.mark.parametrize("spec", [S6, FactorialRatioSpec((2, 2), (3, 1))])
+def test_root_integrality_rejects_v_zero(spec):
+    bundle = build_bundle(spec, 10)
+    with pytest.raises(ValueError):
+        bundle.root_integrality(None, 0)
+    with pytest.raises(ValueError):
+        bundle.root_integrality(1, 0)
