@@ -93,6 +93,11 @@ class MirrorMapBundle:
         """Coefficient n of G_L is Q(n) H_{L n}, for each requested level."""
         return {level: self._weighted(((level, 1),)) for level in self.levels}
 
+    @cached_property
+    def F_integral(self) -> bool:
+        """Whether every F_n is an integer, which dwork_root_index requires."""
+        return all(c.denominator == 1 for c in self.F.coeffs)
+
     def root_coeffs(self, level: Optional[int] = None, v: int = 1) -> Iterator:
         """Coefficients of exp(G_L/(v F)), or of exp(G/(v F)) for level=None.
 
@@ -108,10 +113,9 @@ class MirrorMapBundle:
         exponential.  A failure, or a non-integral F, runs the exp kernel up
         to the first bad coefficient, which the report carries exactly.
         """
-        f = self.F.coeffs
-        if all(c.denominator == 1 for c in f):
+        if self.F_integral:
             g = self.G if level is None else self.G_L[level]
-            if dwork_root_index(g.coeffs, f, v, self.order) is None:
+            if dwork_root_index(g.coeffs, self.F.coeffs, v, self.order) is None:
                 return IntegralityReport(integral=True, order_checked=self.order)
         return integrality_report(self.root_coeffs(level, v), self.order)
 

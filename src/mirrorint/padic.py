@@ -20,7 +20,6 @@ H_b - H_a is one harmonic_block.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -242,36 +241,25 @@ def _phi_index(f: list[int], w: list[int], p: int, m: int, limit: int) -> Option
 
     Both products are taken on residues in [0, m) packed into fixed-width
     slots, -w held as m - w so every slot stays nonnegative; a slot sums at
-    most (limit//p + 1) (1 + p) products below m^2, so none carries.  Slots
-    of 1, 2, 4 or 8 bytes are packed and read back by single struct calls.
+    most (limit//p + 1) (1 + p) products below m^2, so none carries.
     """
     terms = limit // p + 1
-    size = ((terms * (p + 1) * (m - 1) ** 2).bit_length() + 7) // 8
-    code = next((c for c in "BHIQ" if struct.calcsize("<" + c) >= size), None)
-    width = struct.calcsize("<" + code) if code else size
-    layout = f"<{limit + 1}{code}"
+    width = ((terms * (p + 1) * (m - 1) ** 2).bit_length() + 7) // 8
 
-    def pack(xs: list[int]) -> int:
-        if code:
-            data = struct.pack(layout, *xs)
-        else:
-            data = b"".join(x.to_bytes(width, "little") for x in xs)
+    def pack(xs, gap: int = 0) -> int:
+        """xs in slots gap + 1 apart: gap = p - 1 packs x(z^p)."""
+        data = bytes(gap * width).join(x.to_bytes(width, "little") for x in xs)
         return int.from_bytes(data, "little")
 
     fr = [x % m for x in f[: limit + 1]]
     wr = [x % m for x in w[: limit + 1]]
-    # f(z^p) and w(z^p): every p-th slot, zeros between.
-    f_p, w_p = [0] * (limit + 1), [0] * (limit + 1)
-    f_p[::p], w_p[::p] = fr[:terms], wr[:terms]
-    phi = pack(fr) * pack(w_p) + p * pack(f_p) * pack([-x % m for x in wr])
+    phi = pack(fr) * pack(wr[:terms], p - 1)
+    phi += p * pack(fr[:terms], p - 1) * pack(-x % m for x in wr)
     buf = phi.to_bytes(max((phi.bit_length() + 7) // 8, (limit + 1) * width), "little")
-    if code:
-        slots = struct.unpack_from(layout, buf)
-    else:
-        slots = [
-            int.from_bytes(buf[n * width : (n + 1) * width], "little")
-            for n in range(limit + 1)
-        ]
+    slots = (
+        int.from_bytes(buf[n * width : (n + 1) * width], "little")
+        for n in range(limit + 1)
+    )
     return next((n for n, x in enumerate(slots) if n and x % m), None)
 
 

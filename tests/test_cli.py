@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mirrorint import padic
+from mirrorint import mirror, padic
 from mirrorint.cli import (
     EXIT_FAILED,
     EXIT_OK,
@@ -268,6 +268,30 @@ class TestCorpusRunner:
         entries = corpus_runner()
         failing = [e for e in entries if not e.passed]
         assert [e.name for e in failing] == ["6/3,2,1"]
+
+    def test_injected_corruption_on_the_exp_route_detected(self, monkeypatch):
+        # A certifier that fails every root sends each one down the exp
+        # route, whose output is then corrupted for 6/3,2,1 at level 1.
+        calls = []
+
+        def failing_certifier(g, f, v, order):
+            calls.append(order)
+            return 1
+
+        root_coeffs = MirrorMapBundle.root_coeffs
+
+        def corrupted(bundle, level=None, v=1):
+            coeffs = list(root_coeffs(bundle, level, v))
+            if str(bundle.spec) == "6/3,2,1" and level == 1:
+                coeffs[3] += Fraction(1, 7)
+            return iter(coeffs)
+
+        monkeypatch.setattr(mirror, "dwork_root_index", failing_certifier)
+        monkeypatch.setattr(MirrorMapBundle, "root_coeffs", corrupted)
+        entries = corpus_runner()
+        failing = [e for e in entries if not e.passed]
+        assert [e.name for e in failing] == ["6/3,2,1"]
+        assert calls
 
 
 def test_zhou_csv_output(tmp_path, capsys):
