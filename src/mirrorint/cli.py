@@ -108,8 +108,11 @@ def profile_json(prof: landau.LandauProfile) -> dict:
 def write_report(text: str, output: Optional[str]) -> None:
     """Write text to the file output, or to stdout when output is None."""
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write the report: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -33,7 +33,7 @@ from .landau import (
     q_ratios,
     root_bound_dl,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, common_denominator
 
 __all__ = [
     "PadicMembershipReport",
@@ -185,10 +185,11 @@ def dwork_root_index(g, f, v: int, order: int) -> Optional[int]:
     Phi = f(z) g(z^p) - p f(z^p) g(z), and f(z) f(z^p) is a unit, so the
     test reads Phi instead and never forms h or the exponential.
 
-    For p > order, Phi_n = -p g_n: the denominators of g may hold no such
-    prime, and those primes' part of v must divide each numerator.  Each
+    For p > order, Phi_n = -p g_n: with g_n = w_n / den over
+    common_denominator, every prime above the order in den v must divide
+    w_n as often, one divisibility test by that part of den v.  Each
     p <= order (p = order included: Phi_p = g_1 - p g_p) is one Kronecker
-    product pair modulo p^{1+v_p(v)+T}, T = v_p(lcm of the denominators).
+    product pair modulo p^{1+v_p(v)+T}, T = v_p(den).
     """
     if v < 1:
         raise ValueError("v must be a positive integer")
@@ -198,28 +199,19 @@ def dwork_root_index(g, f, v: int, order: int) -> Optional[int]:
         raise ValueError("dwork_root_index requires f_0 = 1")
     if not 0 <= order < min(len(g), len(f)):
         raise ValueError(f"order must be in [0, {min(len(g), len(f)) - 1}]")
-    if any(c.denominator != 1 for c in f[: order + 1]):
+    f, f_den = common_denominator(f[: order + 1])
+    if f_den != 1:
         raise ValueError("dwork_root_index requires integer f")
-    f = [c.numerator for c in f[: order + 1]]
-    dens = [c.denominator for c in g[: order + 1]]
-    den = math.lcm(*dens)
-    # g_n den: integers, with v_p(w_n) = v_p(g_n) + v_p(den) at every p.
-    w = [c.numerator * (den // d) for c, d in zip(g, dens)]
+    # v_p(w_n) = v_p(g_n) + v_p(den) at every p.
+    w, den = common_denominator(g[: order + 1])
     small = primes_up_to(order)
-    primorial = math.prod(small)
-    den_high, v_high = _coprime_part(den, primorial), _coprime_part(v, primorial)
-    # Primes above the order: Phi_n = -p g_n.
-    first = next(
-        (
-            n
-            for n in range(1, order + 1)
-            if math.gcd(dens[n], den_high) > 1 or g[n].numerator % v_high
-        ),
-        None,
-    )
     moduli = [p ** (1 + vp_int(v, p) + vp_int(den, p)) for p in small]
-    # One pass over the large coefficients reduces them for every prime.
     common = math.prod(moduli)
+    # Primes above the order: Phi_n = -p g_n.  high, the part of den v free
+    # of primes <= order, is coprime to common: read w before reducing it.
+    high = den * v * math.prod(small) // common
+    first = next((n for n in range(1, order + 1) if w[n] % high), None)
+    # One pass over the large coefficients reduces them for every prime.
     f, w = [x % common for x in f], [x % common for x in w]
     for p, m in zip(small, moduli):
         limit = order if first is None else first - 1
@@ -227,13 +219,6 @@ def dwork_root_index(g, f, v: int, order: int) -> Optional[int]:
             break
         first = _phi_index(f, w, p, m, limit) or first
     return first
-
-
-def _coprime_part(x: int, primorial: int) -> int:
-    """x with every prime factor of primorial divided out."""
-    while (d := math.gcd(x, primorial)) > 1:
-        x //= d
-    return x
 
 
 def _phi_index(f: list[int], w: list[int], p: int, m: int, limit: int) -> Optional[int]:
@@ -316,9 +301,7 @@ def _tables(spec, p: int, a: int, big_k: int, level: Optional[int] = None):
     if level is None:
         return q_ratios(spec, top), None
     # H as integer numerators over one denominator: sums over it stay unreduced.
-    h = harmonic_sums(((level, 1),), top)
-    den = math.lcm(*(x.denominator for x in h))
-    return q_ratios(spec, top), ([x.numerator * (den // x.denominator) for x in h], den)
+    return q_ratios(spec, top), common_denominator(harmonic_sums(((level, 1),), top))
 
 
 def _phi(q, h, p: int, a: int, big_k: int) -> int | Fraction:

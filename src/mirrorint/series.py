@@ -6,10 +6,11 @@ never claims coefficients that were not actually computed.  exp and log are
 solved through the ODE recurrence b' = a' b, which keeps everything in
 O(N^2) exact-rational operations.
 
-The certifiers do not go through that ring.  exp_quotient_root computes
-exp(h/v) for h = g / f on integers, one coefficient at a time: it solves
-f h = g as it goes, never forming 1/f, so a verifier can stop at the first
-non-integral coefficient.
+The certifiers do not go through that ring.  common_denominator puts a
+sequence over the lcm delta of its denominators, and exp_quotient_root
+computes exp(h/v) for h = g / f on integers over that one delta, one
+coefficient at a time: it solves f h = g as it goes, never forming 1/f, so
+a verifier can stop at the first non-integral coefficient.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "TruncatedSeries",
     "IntegralityReport",
     "integrality_report",
+    "common_denominator",
     "exp_quotient_root",
 ]
 
@@ -62,6 +64,12 @@ def _exact(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
+def common_denominator(xs: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Integers w_n and d with x_n = w_n / d, d the lcm of the reduced denominators."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def exp_quotient_root(
     g: Sequence[Scalar], f: Sequence[Scalar], v: int = 1
 ) -> Iterator[Scalar]:
@@ -69,10 +77,10 @@ def exp_quotient_root(
 
     g has g_0 = 0 and f has f_0 = 1, so h is solved online from
     h_n = g_n - sum_{k=1..n-1} f_{n-k} h_k and 1/f is never formed.  With
-    delta_n the lcm of the reduced denominators of g_1..g_n, every
-    h_k * delta_n is an integer when f is integral, and y' = h' y / v becomes
+    g_n = w_n / delta over common_denominator, every h_k * delta is an
+    integer when f is integral, and y' = h' y / v becomes
 
-        n v delta_n y_n = sum_{k=1..n} k (h_k delta_n) y_{n-k},
+        n v delta y_n = sum_{k=1..n} k (h_k delta) y_{n-k},
 
     which divides exactly while the root is integral.  A coefficient that
     does not divide is yielded as a Fraction, and the coefficients after it
@@ -87,21 +95,13 @@ def exp_quotient_root(
         raise ValueError("exp_quotient_root requires f_0 = 1")
     order = min(len(g), len(f)) - 1
     f = [_exact(c) for c in f[: order + 1]]
-    delta = 1
-    h_scaled: list[Scalar] = []  # h_k * delta_n, k = 1..n
-    weights: list[Scalar] = []  # k h_k delta_n, k = 1..n
+    w, delta = common_denominator(g[: order + 1])
+    h_scaled: list[Scalar] = []  # h_k * delta, k = 1..n
+    weights: list[Scalar] = []  # k h_k delta, k = 1..n
     y: list[Scalar] = [1]
     yield 1
     for n in range(1, order + 1):
-        c = Fraction(g[n])
-        step = c.denominator // math.gcd(delta, c.denominator)
-        if step != 1:
-            delta *= step
-            h_scaled = [x * step for x in h_scaled]
-            weights = [x * step for x in weights]
-        h = c.numerator * (delta // c.denominator) - sum(
-            map(mul, f[1:n], reversed(h_scaled))
-        )
+        h = w[n] - sum(map(mul, f[1:n], reversed(h_scaled)))
         h_scaled.append(h)
         weights.append(n * h)
         total = sum(map(mul, weights, reversed(y)))

@@ -139,6 +139,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"{bound}: must be >= 0, got -1" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--spec", "6/3,2,1", "--target", "q", "--root", "6", "--order", "5",
+             "--output"],
+            ["zhou", "--n-max", "1", "--format", "csv", "--out"],
+        ],
+    )
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_report_path_is_usage_error(self, argv, where, tmp_path, capsys):
+        path = tmp_path / "missing" / "x" if where == "missing directory" else tmp_path
+        assert main(argv + [str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write the report: ")
+        assert str(path) in captured.err
+
     def test_huge_coefficients_serialize(self, capsys):
         # Q(10) has more decimal digits than Python's default int->str limit.
         spec = "1806/903,602,258,42,1"

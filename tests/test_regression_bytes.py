@@ -42,6 +42,14 @@ batch, level roots of 12/4,3,3,2 at multiples of D_L that pass (2 D_1 at
 L=1, 6 D_5 at L=5) and one that fails (4 D_1), the root of exponent 2k
 of the 1806 Zhou spec, and two prime orders (41 and 43), where the
 prime equal to the order enters the congruence.
+
+The last eight digests were captured while the exp kernel still grew its
+common denominator step by step and the Dwork certifier took primes above
+the order one gcd at a time, before both read G over one denominator from
+series.common_denominator.  They are the README's example commands that
+no digest above covers: an F series, a level map at order 20, the README's
+level and cube roots, and one padic report each of phi, S, the harmonic
+lemma and lemma24 (the harmonic report had no digest at all).
 """
 
 import contextlib
@@ -230,6 +238,14 @@ GOLDEN = (
     ("verify --spec 1806/903,602,258,42,1 --root 3612 --order 12", 0, "adb7444e4f562a50a2d81c3ee7bd2209f0bad32142fb19fe0967b7c39189604e"),
     ("verify --spec 6/3,2,1 --target qL --L 1 --root 60 --order 41", 0, "20161dda9b369ccc3143888e7827b3c98355af9e14e5d6a55951f8de49278b1a"),
     ("verify --spec 3/1,1,1 --target q --root 3 --order 43", 0, "d781d7e92e461f8c8a4e8ebcfb2ad9c5371e86d2155af123a7f9c012ae323bee"),
+    ("series --spec 2/1,1 --target F --order 10", 0, "59ac6d6369a18222a3b1cb007611c4fc4c7ce3e35068fb1097aa1ff2212a68b2"),
+    ("series --spec 6/3,2,1 --target qL --L 2 --order 20", 0, "cc56c0d4367227b32702332d2d7595d439b2ec270fe09a0863fefd185e9e41c4"),
+    ("verify --spec 6/3,2,1 --target qL --L 1 --root 60 --order 40", 0, "25a7260fcd1a30bb91d28c16130d3eb7eb54f754da77e3da5c2c005a7314ba42"),
+    ("verify --spec 3/1,1,1 --root 3 --order 60", 0, "ad51fadc7dc2df6a334ff31d9ca5f1fde8338a34e2fd4a64984d119eea157e5e"),
+    ("padic --spec 6/3,2,1 --p 2 --p 3 --what phi --k-max 10", 0, "f767b3519985e86fc6d64f71bc5199431254d1a5999c998a5f9ff0c89e74420e"),
+    ("padic --spec 12/4,3,3,2 --p 5 --what s --s-max 2 --m-max 10", 0, "b8df57fdd0afa2540b3de15377ad7f4a91ff8a930e5258dd3bb1efcc7650327b"),
+    ("padic --spec 6/3,2,1 --p 3 --what harmonic", 0, "91e34cd4409ba31a4660832a85cee54534af109a3e080b4510ec844c64e457e5"),
+    ("padic --spec 6/3,2,1 --p 2 --what lemma24 --m-max 30", 0, "5c98fce65d0225b7865b5ca21c04c3e2b8a62c4395e54ac790dbdc84acce6a7e"),
 )
 
 

@@ -183,6 +183,21 @@ def test_dwork_counts_the_prime_equal_to_the_order():
     assert dwork_root_index(g, f, 1, 6) is None
 
 
+@pytest.mark.parametrize(
+    "g,v,bad",
+    [
+        ((0, Fraction(1, 5), 0), 1, 1),  # 5 above the order in den
+        ((0, 1, Fraction(1, 2)), 5, 1),  # 5 above the order in v
+        # h = 5 log(1/(1-z)): w = (0, 10, 5) over den 2, divisible by 5;
+        # reduced mod 2^2 it is (0, 2, 1), which 5 does not divide.
+        ((0, 5, Fraction(5, 2)), 5, None),
+    ],
+)
+def test_dwork_primes_above_the_order(g, v, bad):
+    f = (1, 0, 0)
+    assert dwork_root_index(g, f, v, 2) == _exp_index(g, f, v, 2) == bad
+
+
 @pytest.mark.parametrize("bad", [None, 7])
 def test_dwork_slots_wider_than_eight_bytes(bad):
     # g = f h with h = v log(1/(1-z)): exp(h/v) = 1/(1-z), unless g_bad

@@ -1,11 +1,11 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorint.series import TruncatedSeries
+from mirrorint.series import TruncatedSeries, common_denominator
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -172,3 +172,21 @@ class TestIntegrality:
         assert not report.integral
         assert report.first_bad_index == 1
         assert report.first_bad_coefficient == Fraction(1, 2)
+
+
+class TestCommonDenominator:
+    @given(
+        xs=st.lists(
+            st.one_of(st.integers(min_value=-50, max_value=50), coeff, st.just(0)),
+            max_size=12,
+        )
+    )
+    def test_reduced_common_form(self, xs):
+        w, d = common_denominator(xs)
+        assert all(type(num) is int for num in w) and type(d) is int
+        assert [Fraction(num, d) for num in w] == xs
+        assert gcd(d, *w) == 1
+
+    @given(xs=st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=12))
+    def test_integers_need_no_denominator(self, xs):
+        assert common_denominator(xs) == (xs, 1)
