@@ -5,7 +5,8 @@ reports are emitted as JSON (schema 1) with rationals serialized as decimal
 strings {"num": ..., "den": ...} so downstream consumers never hit 64-bit
 overflow.  Identical invocations produce byte-identical output.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error or
+out of memory.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ def decimal_str(n: int) -> str:
     return decimal_str(high) + decimal_str(low).zfill(low_digits)
 
 
-def rational_json(x: Fraction) -> dict:
-    x = Fraction(x)
+def rational_json(x: int | Fraction) -> dict:
     return {"num": decimal_str(x.numerator), "den": decimal_str(x.denominator)}
 
 
@@ -503,6 +503,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError:
+        # Unwinding has freed what the command held, so the message fits.
+        sys.stderr.write("error: out of memory\n")
         return EXIT_USAGE
 
 

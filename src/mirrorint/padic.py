@@ -104,11 +104,10 @@ def vp_int(n: int, p: int) -> Valuation:
     return v
 
 
-def vp_rational(x: Fraction, p: int) -> Valuation:
+def vp_rational(x: int | Fraction, p: int) -> Valuation:
     """v_p of an exact rational; +inf for 0."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    x = Fraction(x)
     if x == 0:
         return INFINITE
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
@@ -352,9 +351,9 @@ def _s_sum(q, a: int, big_k: int, s: int, p: int, m: int) -> int | Fraction:
 
 def s_sum(
     spec: FactorialRatioSpec, a: int, big_k: int, s: int, p: int, m: int
-) -> Fraction:
+) -> int | Fraction:
     """S(a,K,s,p,m): the block sum over j in [m p^s, (m+1) p^s)."""
-    return Fraction(_s_sum(_tables(spec, p, a, big_k)[0], a, big_k, s, p, m))
+    return _s_sum(_tables(spec, p, a, big_k)[0], a, big_k, s, p, m)
 
 
 def mu_and_g(spec: FactorialRatioSpec, p: int, m: int) -> tuple[int, int]:
@@ -500,11 +499,10 @@ def lemma_harmonic_check(
     spec: FactorialRatioSpec, level: int, p: int, s: int, m: int
 ) -> PadicMembershipReport:
     """p^{s+1} g_p(m) (H_{L m p^s} - H_{L floor(m/p) p^{s+1}}) in p D_L Z_p."""
-    _, g = mu_and_g(spec, p, m)
+    mu, _ = mu_and_g(spec, p, m)
     block = harmonic_block(level * (m // p) * p ** (s + 1), level * m * p**s)
-    value = p ** (s + 1) * g * block
     required = 1 + int(vp_int(root_bound_dl(spec, level), p))
-    actual = vp_rational(value, p)
+    actual = s + 1 + mu + vp_rational(block, p)
     return PadicMembershipReport(
         prime=p,
         required_valuation=required,

@@ -1,10 +1,13 @@
 """Truncated formal power series over the exact rationals.
 
-A TruncatedSeries holds coefficients c_0..c_N as Fractions.  Every binary
-operation truncates to the smaller operand order and never pads, so a result
-never claims coefficients that were not actually computed.  exp and log are
-solved through the ODE recurrence b' = a' b, which keeps everything in
-O(N^2) exact-rational operations.
+A TruncatedSeries holds coefficients c_0..c_N as given, each an int or a
+Fraction; any other type, a float included, is refused.  Integer series
+stay on ints under +, -, * and powers, while reciprocal, exp and log divide
+and return Fractions.  Every binary operation truncates to the smaller
+operand order and never pads, so a result never claims coefficients that
+were not actually computed.  exp and log are solved through the ODE
+recurrence b' = a' b, which keeps everything in O(N^2) exact-rational
+operations.
 
 The certifiers do not go through that ring.  common_denominator puts a
 sequence over the lcm delta of its denominators, and exp_quotient_root
@@ -54,14 +57,9 @@ def integrality_report(coeffs: Iterable[Scalar], order: int) -> IntegralityRepor
                 integral=False,
                 order_checked=order,
                 first_bad_index=n,
-                first_bad_coefficient=Fraction(c),
+                first_bad_coefficient=c,
             )
     return IntegralityReport(integral=True, order_checked=order)
-
-
-def _exact(c: Scalar) -> Scalar:
-    """c as an int when it is integral, else unchanged."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def common_denominator(xs: Sequence[Scalar]) -> tuple[list[int], int]:
@@ -84,8 +82,10 @@ def exp_quotient_root(
 
     which divides exactly while the root is integral.  A coefficient that
     does not divide is yielded as a Fraction, and the coefficients after it
-    are computed in Fractions on the same path; so is everything that a
-    non-integral f touches.  Yields min(len(g), len(f)) coefficients.
+    are computed in Fractions on the same path.  f is read as given: int
+    coefficients keep the sums on integers, and a Fraction coefficient,
+    integral or not, moves the sums it touches to Fractions.  Yields
+    min(len(g), len(f)) coefficients.
     """
     if v < 1:
         raise ValueError("v must be a positive integer")
@@ -94,7 +94,6 @@ def exp_quotient_root(
     if f[0] != 1:
         raise ValueError("exp_quotient_root requires f_0 = 1")
     order = min(len(g), len(f)) - 1
-    f = [_exact(c) for c in f[: order + 1]]
     w, delta = common_denominator(g[: order + 1])
     h_scaled: list[Scalar] = []  # h_k * delta, k = 1..n
     weights: list[Scalar] = []  # k h_k delta, k = 1..n
@@ -114,25 +113,27 @@ def exp_quotient_root(
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __post_init__(self):
-        if not self.coeffs:
+        coeffs = tuple(self.coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Scalar], order: Optional[int] = None
                     ) -> "TruncatedSeries":
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if order is not None:
             if order + 1 < len(cs):
                 cs = cs[: order + 1]
             else:
-                cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(tuple(cs))
+                cs += [0] * (order + 1 - len(cs))
+        return cls(cs)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -146,7 +147,7 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Scalar:
         return self.coeffs[n]
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -162,20 +163,14 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(-c for c in self.coeffs))
 
     def scale(self, factor: Scalar) -> "TruncatedSeries":
-        factor = Fraction(factor)
         return TruncatedSeries(tuple(c * factor for c in self.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
-        out = []
-        for k in range(n + 1):
-            out.append(
-                sum(
-                    (self.coeffs[i] * other.coeffs[k - i] for i in range(k + 1)),
-                    Fraction(0),
-                )
-            )
-        return TruncatedSeries(tuple(out))
+        return TruncatedSeries(tuple(
+            sum(self.coeffs[i] * other.coeffs[k - i] for i in range(k + 1))
+            for k in range(n + 1)
+        ))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
@@ -193,13 +188,10 @@ class TruncatedSeries:
     def reciprocal(self) -> "TruncatedSeries":
         if self.coeffs[0] == 0:
             raise ValueError("reciprocal requires a nonzero constant term")
-        inv0 = 1 / self.coeffs[0]
+        inv0 = Fraction(1, self.coeffs[0])
         out = [inv0]
         for k in range(1, self.order + 1):
-            acc = sum(
-                (self.coeffs[i] * out[k - i] for i in range(1, k + 1)),
-                Fraction(0),
-            )
+            acc = sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1))
             out.append(-inv0 * acc)
         return TruncatedSeries(tuple(out))
 
@@ -243,7 +235,7 @@ class TruncatedSeries:
         """The substitution z -> z^p, truncated at the original order."""
         if p < 1:
             raise ValueError("p must be a positive integer")
-        out = [Fraction(0)] * (self.order + 1)
+        out = [0] * (self.order + 1)
         for k in range(self.order // p + 1):
             out[k * p] = self.coeffs[k]
         return TruncatedSeries(tuple(out))

@@ -212,20 +212,28 @@ class TestPadicScans:
             "from mirrorint.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        argv = ["padic", "--spec", "12/4,3,3,2", "--p", "7", "--what", "harmonic"]
-        argv += ["--L", "12", "--s-max", "3", "--m-max", "13"]
         src = os.path.dirname(os.path.dirname(padic.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", child, *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=300,
-        )
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-c", child, *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+                timeout=300,
+            )
+
+        proc = run("padic", "--spec", "12/4,3,3,2", "--p", "7", "--what", "harmonic",
+                   "--L", "12", "--s-max", "3", "--m-max", "13")
         assert proc.returncode == 0, proc.stderr[-2000:]
         rows = json.loads(proc.stdout)["reports"]
         assert rows and all(row["member"] is True for row in rows)
+        # Work that does not fit is a usage error with a message, not a crash.
+        proc = run("delta", "--spec", "30000000/15000000,15000000")
+        assert proc.returncode == EXIT_USAGE, proc.stderr[-2000:]
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestDeterminism:

@@ -60,6 +60,11 @@ class TestBuildBundle:
             assert bundle.G_L[level][0] == 0
             assert bundle.q_L[level][0] == 1
 
+    def test_integral_coefficients_are_ints(self):
+        bundle = build_bundle(S6, 30)
+        for c in bundle.F.coeffs + bundle.q_L[1].coeffs:
+            assert type(c) is int, c
+
 
 def product_relation_check(bundle) -> bool:
     """Check exp(G/F) = prod q_{e_i}^{e_i} / prod q_{f_j}^{f_j} exactly."""

@@ -47,6 +47,7 @@ S2 = FactorialRatioSpec((2,), (1, 1))
 S12 = FactorialRatioSpec((12,), (4, 3, 3, 2))
 TRIVIAL = FactorialRatioSpec((1,), (1,))
 CASE_II = FactorialRatioSpec((30, 1), (15, 10, 6))
+CORPUS_CASE_I = [S6, S12, FactorialRatioSpec((3,), (1, 1, 1)), S2]
 
 # Case-(i) specs: multinomials (N)/(f) that pass the D >= 1 test, and the
 # unit-fraction specs with at most four terms (k up to 42).
@@ -522,6 +523,22 @@ class TestLemmaHarmonic:
         rows = lemma_harmonic_scan(S6, 3, 1, 2)
         assert [r.witness for r in rows] == [(2, 1, 1), None]
         assert not rows[-1].member and rows[-1].actual_valuation == 0
+
+    @given(
+        spec=st.sampled_from(CORPUS_CASE_I),
+        raw_level=st.integers(0, 100),
+        p=st.sampled_from([2, 3, 5]),
+        s=st.integers(0, 3),
+        m=st.integers(0, 10),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_valuation_matches_harmonic_reference(self, spec, raw_level, p, s, m):
+        level = 1 + raw_level % spec.max_entry
+        _, g = mu_and_g(spec, p, m)
+        a, b = level * (m // p) * p ** (s + 1), level * m * p**s
+        expected = vp_rational(p ** (s + 1) * g * (harmonic(b) - harmonic(a)), p)
+        report = lemma_harmonic_check(spec, level, p, s, m)
+        assert report.actual_valuation == expected
 
     def test_m_zero(self):
         report = lemma_harmonic_check(S6, 3, 5, 1, 0)

@@ -58,6 +58,16 @@ class TestRing:
         assert (a * b).order == 2
         assert (a + b).order == 2
 
+    def test_integer_series_power_stays_int(self):
+        cube = TruncatedSeries.from_coeffs([1, 1], order=3) ** 3
+        assert cube.coeffs == (1, 3, 3, 1)
+        assert all(type(c) is int for c in cube.coeffs)
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2", None])
+    def test_rejects_inexact_coefficient(self, bad):
+        with pytest.raises(TypeError):
+            TruncatedSeries((1, bad))
+
 
 class TestReciprocal:
     def test_geometric(self):
