@@ -5,8 +5,8 @@ reports are emitted as JSON (schema 1) with rationals serialized as decimal
 strings {"num": ..., "den": ...} so downstream consumers never hit 64-bit
 overflow.  Identical invocations produce byte-identical output.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error or
-out of memory.
+Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error,
+out of memory or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from typing import Optional
 
 from . import landau, mirror, padic, zhou
 from .landau import FactorialRatioSpec
-from .series import IntegralityReport, TruncatedSeries
+from .series import IntegralityReport
 
 SCHEMA_VERSION = 1
 
@@ -71,10 +72,6 @@ def valuation_json(v) -> object:
     return "inf" if v == math.inf else int(v)
 
 
-def series_json(ser: TruncatedSeries) -> list[dict]:
-    return [rational_json(c) for c in ser.coeffs]
-
-
 def integrality_json(report: IntegralityReport) -> dict:
     out = {
         "integral": report.integral,
@@ -106,15 +103,26 @@ def profile_json(prof: landau.LandauProfile) -> dict:
 
 
 def write_report(text: str, output: Optional[str]) -> None:
-    """Write text to the file output, or to stdout when output is None."""
-    if output:
-        try:
+    """Write text to the file output, or to stdout when output is None.
+
+    stdout is flushed here, so a closed pipe or a full device is a usage
+    error like an unwritable file, not a traceback or a failed exit flush.
+    """
+    try:
+        if output:
             with open(output, "w") as handle:
                 handle.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write the report: {exc}") from None
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not output and sys.stdout is sys.__stdout__:
+            # What is still buffered then goes nowhere when the interpreter
+            # flushes stdout at exit, instead of failing a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ValueError(f"cannot write the report: {exc}") from None
 
 
 def emit(payload: dict, output: Optional[str]) -> None:
@@ -154,16 +162,13 @@ def cmd_delta(args) -> int:
 def cmd_series(args) -> int:
     spec = parse_spec(args.spec)
     level = args.level if args.target == "qL" else None
-    levels = (level,) if level else ()
-    bundle = mirror.build_bundle(spec, args.order, levels=levels)
+    bundle = mirror.build_bundle(spec, args.order)
     if args.target == "F":
-        ser = bundle.F
+        coeffs = bundle.F.coeffs
     elif args.target == "G":
-        ser = bundle.G
-    elif args.target == "q":
-        ser = bundle.q_reduced
+        coeffs = bundle.g().coeffs
     else:
-        ser = bundle.q_L[level]
+        coeffs = bundle.root_coeffs(level)
     emit(
         {
             "command": "series",
@@ -171,7 +176,7 @@ def cmd_series(args) -> int:
             "target": args.target,
             "level": level,
             "order": args.order,
-            "coefficients": series_json(ser),
+            "coefficients": [rational_json(c) for c in coeffs],
         },
         args.output,
     )
@@ -205,9 +210,7 @@ def cmd_verify(args) -> int:
         return EXIT_FAILED
 
     level = args.level if args.target == "qL" else None
-    levels = () if level is None else (level,)
-    bundle = mirror.build_bundle(spec, args.order, levels=levels)
-    report = bundle.root_integrality(level, root)
+    report = mirror.build_bundle(spec, args.order).root_integrality(level, root)
     emit(
         {
             "command": "verify",
@@ -401,11 +404,12 @@ def corpus_runner(order: Optional[int] = None) -> list[CorpusEntry]:
 
 def cmd_corpus(args) -> int:
     entries = corpus_runner(order=args.order)
-    for entry in entries:
-        status = "pass" if entry.passed else "FAIL"
-        sys.stdout.write(f"{status}  {entry.name}: {entry.detail}\n")
+    lines = [
+        f"{'pass' if e.passed else 'FAIL'}  {e.name}: {e.detail}\n" for e in entries
+    ]
     failed = sum(1 for e in entries if not e.passed)
-    sys.stdout.write(f"{len(entries) - failed}/{len(entries)} corpus entries passed\n")
+    lines.append(f"{len(entries) - failed}/{len(entries)} corpus entries passed\n")
+    write_report("".join(lines), None)
     return EXIT_OK if failed == 0 else EXIT_FAILED
 
 

@@ -1,9 +1,10 @@
 """Canonical q-coordinates and their root-exponent verifiers.
 
-From a balanced spec we build the hypergeometric-style series F and the
-harmonic-weighted companions G and G_L, then form the reduced canonical
-coordinate exp(G/F) (that is, q with the leading z divided out) and the
-level maps q_L = exp(G_L/F).  On top of those sit the verifiers: the per
+From a balanced spec we build the hypergeometric-style series F.  The
+harmonic-weighted companions G and G_L, the reduced canonical coordinate
+exp(G/F) (that is, q with the leading z divided out) and the level maps
+q_L = exp(G_L/F) are computed only when a caller asks for one of them,
+one level at a time.  On top of those sit the verifiers: the per
 level root exponents D_L, the gcd divisibility test that transfers roots of
 the q_L to roots of q, the reference exponents from the harmonic-number
 literature, and a witness search for the almost-all-primes failure in the
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .landau import (
     Classification,
@@ -67,44 +68,39 @@ class CaseTwoError(ValueError):
 
 @dataclass(frozen=True)
 class MirrorMapBundle:
-    """F, plus G, G_L, q_reduced and q_L, each computed on first access."""
+    """F at an order; G, G_L and their roots are computed per call, never kept."""
 
     spec: FactorialRatioSpec
     order: int
     F: TruncatedSeries
-    levels: tuple[int, ...]
-
-    def _weighted(self, terms: tuple[tuple[int, int], ...]) -> TruncatedSeries:
-        """Coefficient n is Q(n) sum_{(c, w) in terms} w H_{c n}."""
-        return TruncatedSeries(
-            tuple(map(mul, self.F.coeffs, harmonic_sums(terms, self.order)))
-        )
-
-    @cached_property
-    def G(self) -> TruncatedSeries:
-        """Coefficient n is Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n})."""
-        spec = self.spec
-        return self._weighted(
-            tuple((c, c) for c in spec.e) + tuple((c, -c) for c in spec.f)
-        )
-
-    @cached_property
-    def G_L(self) -> dict[int, TruncatedSeries]:
-        """Coefficient n of G_L is Q(n) H_{L n}, for each requested level."""
-        return {level: self._weighted(((level, 1),)) for level in self.levels}
 
     @cached_property
     def F_integral(self) -> bool:
         """Whether every F_n is an integer, which dwork_root_index requires."""
         return all(c.denominator == 1 for c in self.F.coeffs)
 
+    def g(self, level: Optional[int] = None) -> TruncatedSeries:
+        """G for level=None, else G_L for a level L in [1, M].
+
+        Coefficient n is Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}), or Q(n) H_{L n}.
+        """
+        spec = self.spec
+        if level is None:
+            terms = tuple((c, c) for c in spec.e) + tuple((c, -c) for c in spec.f)
+        elif 1 <= level <= spec.max_entry:
+            terms = ((level, 1),)
+        else:
+            raise ValueError(f"level {level} outside [1, {spec.max_entry}]")
+        return TruncatedSeries(
+            tuple(map(mul, self.F.coeffs, harmonic_sums(terms, self.order)))
+        )
+
     def root_coeffs(self, level: Optional[int] = None, v: int = 1) -> Iterator:
         """Coefficients of exp(G_L/(v F)), or of exp(G/(v F)) for level=None.
 
         Lazy: a consumer that stops early leaves the rest uncomputed.
         """
-        g = self.G if level is None else self.G_L[level]
-        return exp_quotient_root(g.coeffs, self.F.coeffs, v)
+        return exp_quotient_root(self.g(level).coeffs, self.F.coeffs, v)
 
     def root_integrality(self, level: Optional[int], v: int) -> IntegralityReport:
         """Integrality of q_L^{1/v} (or (z^-1 q)^{1/v}), up to the first bad index.
@@ -113,48 +109,19 @@ class MirrorMapBundle:
         exponential.  A failure, or a non-integral F, runs the exp kernel up
         to the first bad coefficient, which the report carries exactly.
         """
-        if self.F_integral:
-            g = self.G if level is None else self.G_L[level]
-            if dwork_root_index(g.coeffs, self.F.coeffs, v, self.order) is None:
-                return IntegralityReport(integral=True, order_checked=self.order)
-        return integrality_report(self.root_coeffs(level, v), self.order)
-
-    @cached_property
-    def q_reduced(self) -> TruncatedSeries:
-        """exp(G/F), that is z^-1 q."""
-        return TruncatedSeries(tuple(self.root_coeffs()))
-
-    @cached_property
-    def q_L(self) -> dict[int, TruncatedSeries]:
-        """q_L = exp(G_L/F) for each requested level."""
-        return {
-            level: TruncatedSeries(tuple(self.root_coeffs(level)))
-            for level in self.levels
-        }
+        g, f = self.g(level).coeffs, self.F.coeffs
+        if self.F_integral and dwork_root_index(g, f, v, self.order) is None:
+            return IntegralityReport(integral=True, order_checked=self.order)
+        return integrality_report(exp_quotient_root(g, f, v), self.order)
 
 
-def build_bundle(
-    spec: FactorialRatioSpec,
-    order: int,
-    levels: Optional[tuple[int, ...]] = None,
-) -> MirrorMapBundle:
-    """Build F; G, the requested G_L, q_reduced and q_L follow on access.
-
-    levels=None selects every level 1..M; pass an explicit (possibly empty)
-    tuple to restrict.  All coefficients are exact.
-    """
+def build_bundle(spec: FactorialRatioSpec, order: int) -> MirrorMapBundle:
+    """F, exact to the given order; G, G_L and the roots come from its methods."""
     if not spec.balanced:
         raise ValueError(f"spec {spec} is not balanced (|e| != |f|)")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if levels is None:
-        levels = tuple(range(1, spec.max_entry + 1))
-    else:
-        for level in levels:
-            if not 1 <= level <= spec.max_entry:
-                raise ValueError(f"level {level} outside [1, {spec.max_entry}]")
-    f_series = TruncatedSeries(tuple(q_ratios(spec, order)))
-    return MirrorMapBundle(spec=spec, order=order, F=f_series, levels=tuple(levels))
+    return MirrorMapBundle(spec, order, TruncatedSeries(tuple(q_ratios(spec, order))))
 
 
 def verify_theorem1(
@@ -172,7 +139,7 @@ def verify_theorem1(
     bundle = build_bundle(spec, order)
     return {
         level: bundle.root_integrality(level, root_bound_dl(spec, level))
-        for level in bundle.levels
+        for level in range(1, spec.max_entry + 1)
     }
 
 
@@ -286,8 +253,8 @@ def nonintegrality_witness(
 
     Meant for specs in case (ii), where all but finitely many primes must
     produce such a coefficient in q or one of the q_L.  The scan order is
-    deterministic: primes ascending, then q_reduced before the q_L by level,
-    then coefficient index.
+    deterministic: primes ascending, then q before the q_L by level, then
+    coefficient index.
     """
     verdict = classify(spec)
     if not verdict.landau_integral:
@@ -296,23 +263,22 @@ def nonintegrality_witness(
         # Nothing to find: case (i) makes every target integral.
         return None
 
-    # G_L and q_L are computed on first access: only if q has no witness.
+    # A root is built the first time the scan reaches its level.
     bundle = build_bundle(spec, order)
+    roots: dict[Optional[int], tuple] = {}
     for p in primes_up_to(prime_bound):
-        hit = _first_negative_vp(bundle.q_reduced, p)
-        if hit:
-            return NonintegralityWitness(p, "q", hit[0], hit[1])
-        for level in bundle.levels:
-            hit = _first_negative_vp(bundle.q_L[level], p)
+        for level in (None, *range(1, spec.max_entry + 1)):
+            if level not in roots:
+                roots[level] = tuple(bundle.root_coeffs(level))
+            hit = _first_negative_vp(roots[level], p)
             if hit:
-                return NonintegralityWitness(p, f"qL={level}", hit[0], hit[1])
+                target = "q" if level is None else f"qL={level}"
+                return NonintegralityWitness(p, target, hit[0], hit[1])
     return None
 
 
-def _first_negative_vp(
-    ser: TruncatedSeries, p: int
-) -> Optional[tuple[int, int]]:
-    for n, c in enumerate(ser.coeffs):
+def _first_negative_vp(coeffs: Sequence, p: int) -> Optional[tuple[int, int]]:
+    for n, c in enumerate(coeffs):
         if c.denominator % p == 0:
             return n, vp_rational(c, p)
     return None

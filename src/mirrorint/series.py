@@ -186,9 +186,11 @@ class TruncatedSeries:
         return result
 
     def reciprocal(self) -> "TruncatedSeries":
-        if self.coeffs[0] == 0:
+        c0 = self.coeffs[0]
+        if c0 == 0:
             raise ValueError("reciprocal requires a nonzero constant term")
-        inv0 = Fraction(1, self.coeffs[0])
+        # +-1 is its own inverse, which keeps an integral series on ints.
+        inv0 = c0 if c0 in (1, -1) else Fraction(1, c0)
         out = [inv0]
         for k in range(1, self.order + 1):
             acc = sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1))

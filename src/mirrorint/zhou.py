@@ -105,7 +105,7 @@ def verify_zhou(instance: ZhouInstance, order: int) -> ZhouVerdict:
     verdict = classify(spec)
     if not verdict.case_i:
         return ZhouVerdict(instance, False, instance.k, order, None)
-    report = build_bundle(spec, order, levels=()).root_integrality(None, instance.k)
+    report = build_bundle(spec, order).root_integrality(None, instance.k)
     return ZhouVerdict(instance, True, instance.k, order, report)
 
 

@@ -20,7 +20,7 @@ from mirrorint.cli import (
     parse_spec,
 )
 from mirrorint.landau import q_ratio
-from mirrorint.mirror import MirrorMapBundle
+from mirrorint.mirror import MirrorMapBundle, build_bundle
 from mirrorint.series import TruncatedSeries
 
 
@@ -156,6 +156,41 @@ class TestExitCodes:
         assert captured.err.startswith("error: cannot write the report: ")
         assert str(path) in captured.err
 
+    @pytest.mark.parametrize(
+        "argv", [["delta", "--spec", "6/3,2,1"], ["corpus", "--order", "5"]]
+    )
+    @pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_failed_stdout_write_is_usage_error(self, argv, sink, unbuffered):
+        if sink == "closed pipe":
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        elif os.path.exists(sink):
+            stdout = os.open(sink, os.O_WRONLY)
+        else:
+            pytest.skip(f"no {sink} here")
+        src = os.path.dirname(os.path.dirname(padic.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mirrorint.cli", *argv],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(stdout)
+        assert proc.returncode == EXIT_USAGE, proc.stderr[-2000:]
+        assert proc.stderr.startswith("error: cannot write the report: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
     def test_huge_coefficients_serialize(self, capsys):
         # Q(10) has more decimal digits than Python's default int->str limit.
         spec = "1806/903,602,258,42,1"
@@ -277,19 +312,19 @@ class TestCorpusRunner:
         ]
 
     def test_injected_corruption_detected(self, monkeypatch):
-        # Passing roots never reach root_coeffs, so the corruption goes into
-        # G_L, which both certifiers read.
-        g_levels = MirrorMapBundle.G_L.func
+        # Passing roots never reach the exp kernel, so the corruption goes
+        # into G_1, which both certifiers read.
+        g = MirrorMapBundle.g
 
-        def corrupted(bundle):
-            out = g_levels(bundle)
-            if str(bundle.spec) == "6/3,2,1" and 1 in out:
-                coeffs = list(out[1].coeffs)
+        def corrupted(bundle, level=None):
+            out = g(bundle, level)
+            if str(bundle.spec) == "6/3,2,1" and level == 1:
+                coeffs = list(out.coeffs)
                 coeffs[3] += Fraction(1, 7)
-                out[1] = TruncatedSeries(tuple(coeffs))
+                out = TruncatedSeries(tuple(coeffs))
             return out
 
-        monkeypatch.setattr(MirrorMapBundle, "G_L", property(corrupted))
+        monkeypatch.setattr(MirrorMapBundle, "g", corrupted)
         entries = corpus_runner()
         failing = [e for e in entries if not e.passed]
         assert [e.name for e in failing] == ["6/3,2,1"]
@@ -303,16 +338,17 @@ class TestCorpusRunner:
             calls.append(order)
             return 1
 
-        root_coeffs = MirrorMapBundle.root_coeffs
+        level_one = build_bundle(parse_spec("6/3,2,1"), 40).g(1).coeffs
+        exp_quotient_root = mirror.exp_quotient_root
 
-        def corrupted(bundle, level=None, v=1):
-            coeffs = list(root_coeffs(bundle, level, v))
-            if str(bundle.spec) == "6/3,2,1" and level == 1:
+        def corrupted(g, f, v=1):
+            coeffs = list(exp_quotient_root(g, f, v))
+            if g == level_one:
                 coeffs[3] += Fraction(1, 7)
             return iter(coeffs)
 
         monkeypatch.setattr(mirror, "dwork_root_index", failing_certifier)
-        monkeypatch.setattr(MirrorMapBundle, "root_coeffs", corrupted)
+        monkeypatch.setattr(mirror, "exp_quotient_root", corrupted)
         entries = corpus_runner()
         failing = [e for e in entries if not e.passed]
         assert [e.name for e in failing] == ["6/3,2,1"]

@@ -6,6 +6,8 @@ import pytest
 from mirrorint.landau import FactorialRatioSpec, harmonic, q_ratio, root_bound_dl
 from mirrorint.mirror import (
     CaseTwoError,
+    MirrorMapBundle,
+    NonintegralityWitness,
     build_bundle,
     nonintegrality_witness,
     reference_exponents,
@@ -23,30 +25,30 @@ CASE_II = FactorialRatioSpec((30, 1), (15, 10, 6))
 
 class TestBuildBundle:
     def test_f_is_central_binomials(self):
-        bundle = build_bundle(S2, 6, levels=())
+        bundle = build_bundle(S2, 6)
         assert bundle.F.coeffs[:4] == (1, 2, 6, 20)
 
     def test_g_first_coefficient(self):
-        bundle = build_bundle(S2, 4, levels=())
-        assert bundle.G[1] == 2 * (2 * harmonic(2) - 2 * harmonic(1))
-        assert bundle.G[1] == 2
+        g = build_bundle(S2, 4).g()
+        assert g[1] == 2 * (2 * harmonic(2) - 2 * harmonic(1))
+        assert g[1] == 2
 
     def test_g_level_first_coefficient(self):
         for spec in (S6, S12):
             bundle = build_bundle(spec, 3)
-            for level in bundle.G_L:
-                assert bundle.G_L[level][1] == q_ratio(spec, 1) * harmonic(level)
+            for level in range(1, spec.max_entry + 1):
+                assert bundle.g(level)[1] == q_ratio(spec, 1) * harmonic(level)
 
     def test_g_coefficients_independent_summation(self):
         # oracle: accumulate the harmonic weight term by term, in reverse
-        bundle = build_bundle(S6, 50, levels=())
+        g = build_bundle(S6, 50).g()
         for n in range(1, 51):
             weight = Fraction(0)
             for c in reversed(S6.f):
                 weight -= c * sum(Fraction(1, i) for i in range(1, c * n + 1))
             for c in reversed(S6.e):
                 weight += c * sum(Fraction(1, i) for i in range(1, c * n + 1))
-            assert bundle.G[n] == q_ratio(S6, n) * weight
+            assert g[n] == q_ratio(S6, n) * weight
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
@@ -54,26 +56,48 @@ class TestBuildBundle:
 
     def test_constant_terms(self):
         bundle = build_bundle(S6, 8)
-        assert bundle.F[0] == 1 and bundle.G[0] == 0
-        assert bundle.q_reduced[0] == 1
-        for level in bundle.G_L:
-            assert bundle.G_L[level][0] == 0
-            assert bundle.q_L[level][0] == 1
+        assert bundle.F[0] == 1
+        for level in (None, *range(1, 7)):
+            assert bundle.g(level)[0] == 0
+            assert next(bundle.root_coeffs(level)) == 1
 
     def test_integral_coefficients_are_ints(self):
         bundle = build_bundle(S6, 30)
-        for c in bundle.F.coeffs + bundle.q_L[1].coeffs:
+        for c in bundle.F.coeffs + tuple(bundle.root_coeffs(1)):
             assert type(c) is int, c
+
+    @pytest.mark.parametrize("level", [0, 7, -1])
+    def test_level_outside_range_rejected(self, level):
+        # H_0 = 0 would make g(0) silently zero.
+        bundle = build_bundle(S6, 8)
+        with pytest.raises(ValueError):
+            bundle.g(level)
+        with pytest.raises(ValueError):
+            bundle.root_integrality(level, 1)
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_root_coeffs_read_their_level(self, level):
+        # At z^1 the root of q_L is Q(1) H_L / v, which 13 never divides here.
+        bundle = build_bundle(S6, 4)
+        assert list(bundle.root_coeffs(level))[1] == 60 * harmonic(level)
+        report = bundle.root_integrality(level, 13)
+        assert report.first_bad_index == 1
+        assert report.first_bad_coefficient == 60 * harmonic(level) / 13
+
+
+def _root(bundle, level=None) -> TruncatedSeries:
+    """q_L for a level, or z^-1 q for level=None, as a ring element."""
+    return TruncatedSeries(tuple(bundle.root_coeffs(level)))
 
 
 def product_relation_check(bundle) -> bool:
     """Check exp(G/F) = prod q_{e_i}^{e_i} / prod q_{f_j}^{f_j} exactly."""
     rhs = TruncatedSeries.one(bundle.order)
     for c in bundle.spec.e:
-        rhs = rhs * bundle.q_L[c] ** c
+        rhs = rhs * _root(bundle, c) ** c
     for c in bundle.spec.f:
-        rhs = rhs * bundle.q_L[c].reciprocal() ** c
-    return rhs == bundle.q_reduced
+        rhs = rhs * _root(bundle, c).reciprocal() ** c
+    return rhs == _root(bundle)
 
 
 class TestProductRelation:
@@ -85,7 +109,7 @@ class TestProductRelation:
 
     def test_trivial_both_sides_one(self):
         bundle = build_bundle(TRIVIAL, 10)
-        assert bundle.q_reduced.coeffs == (1,) + (0,) * 10
+        assert _root(bundle).coeffs == (1,) + (0,) * 10
 
 
 class TestVerifyTheorem1:
@@ -132,8 +156,8 @@ class TestRootExponent:
             root_exponent_for_q(S6, 4)
 
     def test_confirmed_by_series(self):
-        bundle = build_bundle(S6, 40, levels=())
-        assert bundle.q_reduced.vth_root(6).integrality().integral
+        bundle = build_bundle(S6, 40)
+        assert _root(bundle).vth_root(6).integrality().integral
 
 
 class TestReferenceExponents:
@@ -167,8 +191,8 @@ class TestReferenceExponents:
         spec = FactorialRatioSpec((5,), (1,) * 5)
         ref = reference_exponents(spec)
         v = int(ref.xi_exponent)
-        bundle = build_bundle(spec, 30, levels=(5,))
-        assert bundle.q_L[5].vth_root(v).integrality().integral
+        bundle = build_bundle(spec, 30)
+        assert _root(bundle, 5).vth_root(v).integrality().integral
 
 
 class TestNonintegralityWitness:
@@ -182,6 +206,33 @@ class TestNonintegralityWitness:
 
     def test_trivial_has_none(self):
         assert nonintegrality_witness(TRIVIAL, prime_bound=20, order=10) is None
+
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            (FactorialRatioSpec((6,), (1, 1, 4)), (2, "qL=4", 1, -1)),
+            (FactorialRatioSpec((9,), (2, 2, 2, 3)), (3, "qL=6", 14, -1)),
+            (CASE_II, (2, "q", 7, -2)),
+        ],
+        ids=str,
+    )
+    def test_scan_order(self, spec, expected):
+        # Primes ascending; for each prime q, then the q_L by level.
+        witness = nonintegrality_witness(spec, prime_bound=200, order=30)
+        assert witness == NonintegralityWitness(*expected)
+
+    def test_scan_builds_no_level_past_the_witness(self, monkeypatch):
+        built = []
+        root_coeffs = MirrorMapBundle.root_coeffs
+
+        def spy(bundle, level=None, v=1):
+            built.append(level)
+            return root_coeffs(bundle, level, v)
+
+        monkeypatch.setattr(MirrorMapBundle, "root_coeffs", spy)
+        spec = FactorialRatioSpec((6,), (1, 1, 4))
+        nonintegrality_witness(spec, prime_bound=200, order=30)
+        assert built == [None, 1, 2, 3, 4]
 
     def test_non_landau_rejected(self):
         with pytest.raises(ValueError):

@@ -141,7 +141,7 @@ class TestValuationViaDelta:
 
 class TestDworkQuotient:
     def test_integral_f_passes(self):
-        bundle = build_bundle(S2, 27, levels=())
+        bundle = build_bundle(S2, 27)
         assert dwork_quotient_test(bundle.F, 3).member
 
     def test_constant_one(self):
@@ -182,14 +182,14 @@ class TestDworkExp:
             assert dwork_exp_test(ser, p).member
 
     def test_case_i_ratio_passes(self):
-        bundle = build_bundle(S6, 30, levels=())
-        ratio = bundle.G * bundle.F.reciprocal()
+        bundle = build_bundle(S6, 30)
+        ratio = bundle.g() * bundle.F.reciprocal()
         assert dwork_exp_test(ratio, 5).member
 
     def test_consistency_with_exponential(self):
         # both routes must agree on exp(f) being p-integral
-        bundle = build_bundle(S2, 20, levels=())
-        ratio = bundle.G * bundle.F.reciprocal()
+        bundle = build_bundle(S2, 20)
+        ratio = bundle.g() * bundle.F.reciprocal()
         for p in (2, 3, 5):
             direct = all(
                 vp_rational(c, p) >= 0 for c in ratio.exp().coeffs

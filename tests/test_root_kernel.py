@@ -50,11 +50,11 @@ def balanced_specs(draw):
 def test_kernel_matches_fraction_ring(spec, order, wrong):
     bundle = build_bundle(spec, order)
     f_inv = bundle.F.reciprocal()
-    targets = [(None, bundle.G, spec.max_entry)] + [
-        (level, g, root_bound_dl(spec, level)) for level, g in bundle.G_L.items()
+    targets = [(None, spec.max_entry)] + [
+        (level, root_bound_dl(spec, level)) for level in range(1, spec.max_entry + 1)
     ]
-    for level, g, natural in targets:
-        exp_h = (g * f_inv).exp()
+    for level, natural in targets:
+        exp_h = (bundle.g(level) * f_inv).exp()
         for v in (1, natural, wrong * natural):
             oracle = exp_h.vth_root(v)
             assert list(bundle.root_coeffs(level, v)) == list(oracle.coeffs)
@@ -100,7 +100,7 @@ def test_classes_of_examples():
 @pytest.mark.parametrize("root", [120, 7, 61])
 def test_wrong_roots_caught_at_index_one(root):
     # y_1 = Q(1) H_1 / v = 60 / v for q_1 of 6/3,2,1.
-    report = build_bundle(S6, 40, levels=(1,)).root_integrality(1, root)
+    report = build_bundle(S6, 40).root_integrality(1, root)
     assert not report.integral
     assert report.first_bad_index == 1
     assert report.first_bad_coefficient == Fraction(60, root)
@@ -149,13 +149,13 @@ def _exp_index(g, f, v, order):
 def test_dwork_index_matches_exp_kernel(spec, order, multiple):
     bundle = build_bundle(spec, order)
     f = bundle.F.coeffs
-    targets = [(bundle.G, spec.max_entry)] + [
-        (g, root_bound_dl(spec, level)) for level, g in bundle.G_L.items()
+    targets = [(None, spec.max_entry)] + [
+        (level, root_bound_dl(spec, level)) for level in range(1, spec.max_entry + 1)
     ]
-    for g, natural in targets:
-        v = natural * multiple
-        expected = _exp_index(g.coeffs, f, v, order)
-        assert dwork_root_index(g.coeffs, f, v, order) == expected
+    for level, natural in targets:
+        g, v = bundle.g(level).coeffs, natural * multiple
+        expected = _exp_index(g, f, v, order)
+        assert dwork_root_index(g, f, v, order) == expected
 
 
 @pytest.mark.parametrize(
@@ -165,8 +165,8 @@ def test_dwork_index_matches_exp_kernel(spec, order, multiple):
 )
 @pytest.mark.parametrize("multiple", [1, 2, 3])
 def test_dwork_index_matches_exp_kernel_on_zhou(instance, multiple):
-    bundle = build_bundle(instance.spec, 30, levels=())
-    g, f, v = bundle.G.coeffs, bundle.F.coeffs, instance.k * multiple
+    bundle = build_bundle(instance.spec, 30)
+    g, f, v = bundle.g().coeffs, bundle.F.coeffs, instance.k * multiple
     for order in range(1, 31):
         expected = _exp_index(g[: order + 1], f, v, order)
         assert dwork_root_index(g, f, v, order) == expected
@@ -229,13 +229,13 @@ def test_non_integral_f_takes_the_exp_route(monkeypatch):
     bundle = build_bundle(spec, 20)
     assert any(c.denominator != 1 for c in bundle.F.coeffs)
     with pytest.raises(ValueError):
-        dwork_root_index(bundle.G.coeffs, bundle.F.coeffs, 1, 20)
+        dwork_root_index(bundle.g().coeffs, bundle.F.coeffs, 1, 20)
 
     def refuse(*args):
         raise AssertionError("the Dwork certifier needs an integral F")
 
     monkeypatch.setattr(mirror, "dwork_root_index", refuse)
-    for level in (None, *bundle.levels):
+    for level in (None, *range(1, spec.max_entry + 1)):
         report = bundle.root_integrality(level, 1)
         assert report == integrality_report(bundle.root_coeffs(level, 1), 20)
         assert not report.integral

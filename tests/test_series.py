@@ -85,6 +85,16 @@ class TestReciprocal:
         with pytest.raises(ValueError):
             TruncatedSeries.from_coeffs([0, 1]).reciprocal()
 
+    @pytest.mark.parametrize("coeffs", [[1, -1], [-1, 2]])
+    def test_unit_constant_term_stays_on_ints(self, coeffs):
+        inverse = TruncatedSeries.from_coeffs(coeffs, order=10).reciprocal()
+        assert all(type(c) is int for c in inverse.coeffs), inverse.coeffs
+
+    def test_other_constant_term_divides(self):
+        inverse = TruncatedSeries.from_coeffs([2, 1], order=3).reciprocal()
+        expected = tuple(Fraction((-1) ** k, 2 ** (k + 1)) for k in range(4))
+        assert inverse.coeffs == expected
+
 
 class TestExpLog:
     def test_exp_zero(self):
