@@ -253,14 +253,12 @@ def cmd_exponents(args) -> int:
 
 def cmd_padic(args) -> int:
     spec = parse_spec(args.spec)
-    levels = [args.level] if args.level else range(1, spec.max_entry + 1)
     reports = []
     for p in args.primes:
         if args.what == "phi":
-            reports += [
-                padic.phi_membership_scan(spec, level, p, args.a_max, args.k_max)
-                for level in levels
-            ]
+            reports += padic.phi_membership_scan(
+                spec, p, args.a_max, args.k_max, args.level
+            )
         elif args.what == "s":
             reports.append(
                 padic.s_membership_scan(

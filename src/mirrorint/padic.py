@@ -2,19 +2,23 @@
 
 Every quantity handled here is an exact rational, so p-adic membership
 statements reduce to valuation comparisons or to congruences between
-integers; no truncated p-adic expansions are ever formed.  The module
-exposes the valuation formula for Q(n) through the step function, the two
-Dieudonne-Dwork reduction tests, the root certifier that decides the second
-one for exp(G/(vF)) by congruences mod p^k, the coefficient functional phi,
-the split sums S and W with their correction factor g_p(m) = p^{mu_p(m)},
-and each supporting lemma as an executable check over explicit finite
-grids.
+integers.  The module exposes the valuation formula for Q(n) through the
+step function, the two Dieudonne-Dwork reduction tests, the root certifier
+that decides the second one for exp(G/(vF)) by congruences mod p^k, the
+coefficient functional phi, the split sums S and W with their correction
+factor g_p(m) = p^{mu_p(m)}, and each supporting lemma as an executable
+check over explicit finite grids.
 
 Infinite sums over the level index l are truncated at the first l where all
 remaining terms vanish (p^l beyond the argument times M); the cutoffs are
-computed, never guessed.  Q and H_{Ln} are read from tables built by
-q_ratios and harmonic_sums once per scan or public call, and each difference
-H_b - H_a is one harmonic_block.
+computed, never guessed.  Q is read from a q_ratios table built once per
+scan or public call.  The phi and harmonic-lemma scans read each value
+scaled by p^E as a residue mod p^(E+D), D = _RESIDUE_DIGITS: a nonzero
+residue carries the value's exact valuation, and a zero residue is
+recomputed exactly for that point alone, so every reported valuation is
+exact.  The single-point phi and lemma_harmonic_check stay exact: phi
+reads H_{Ln} from a harmonic_sums table, and each difference H_b - H_a is
+one harmonic_block.
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ __all__ = [
 ]
 
 INFINITE = math.inf
+
+# p-adic digits the residue scans keep past p^E; a point whose scaled value
+# is 0 mod p^(E + _RESIDUE_DIGITS) is recomputed exactly.
+_RESIDUE_DIGITS = 40
 
 Valuation = Union[int, float]
 
@@ -187,8 +195,9 @@ def dwork_root_index(g, f, v: int, order: int) -> Optional[int]:
     For p > order, Phi_n = -p g_n: with g_n = w_n / den over
     common_denominator, every prime above the order in den v must divide
     w_n as often, one divisibility test by that part of den v.  Each
-    p <= order (p = order included: Phi_p = g_1 - p g_p) is one Kronecker
-    product pair modulo p^{1+v_p(v)+T}, T = v_p(den).
+    p <= order (p = order included: Phi_p = g_1 - p g_p) is one
+    _phi_residues call modulo p^{1+v_p(v)+T}, T = v_p(den), up to the
+    least failure found so far; its first nonzero n >= 1 fails.
     """
     if v < 1:
         raise ValueError("v must be a positive integer")
@@ -216,12 +225,13 @@ def dwork_root_index(g, f, v: int, order: int) -> Optional[int]:
         limit = order if first is None else first - 1
         if limit == 0:
             break
-        first = _phi_index(f, w, p, m, limit) or first
+        phi_mod = _phi_residues(f, w, p, m, limit)
+        first = next((n for n in range(1, limit + 1) if phi_mod[n]), first)
     return first
 
 
-def _phi_index(f: list[int], w: list[int], p: int, m: int, limit: int) -> Optional[int]:
-    """First n in 1..limit with f(z) w(z^p) - p f(z^p) w(z) not 0 mod m at z^n.
+def _phi_residues(f: list[int], w: list[int], p: int, m: int, limit: int) -> list[int]:
+    """Phi_n mod m for n <= limit, where Phi = f(z) w(z^p) - p f(z^p) w(z).
 
     Both products are taken on residues in [0, m) packed into fixed-width
     slots, -w held as m - w so every slot stays nonnegative; a slot sums at
@@ -240,15 +250,36 @@ def _phi_index(f: list[int], w: list[int], p: int, m: int, limit: int) -> Option
     phi = pack(fr) * pack(wr[:terms], p - 1)
     phi += p * pack(fr[:terms], p - 1) * pack(-x % m for x in wr)
     buf = phi.to_bytes(max((phi.bit_length() + 7) // 8, (limit + 1) * width), "little")
-    slots = (
-        int.from_bytes(buf[n * width : (n + 1) * width], "little")
+    return [
+        int.from_bytes(buf[n * width : (n + 1) * width], "little") % m
         for n in range(limit + 1)
-    )
-    return next((n for n, x in enumerate(slots) if n and x % m), None)
+    ]
+
+
+def _harmonic_residues(p: int, top: int, step: int) -> tuple[int, int, list[int]]:
+    """(E, mod, P): P[i] = p^E H_{i step} mod p^(E+D) for i <= top // step.
+
+    E = floor(log_p top) makes p^E H_x p-integral for every x <= top: with
+    j = p^v u and p not dividing u, the term p^E/j is p^(E-v) u^(-1) mod
+    p^(E+D).  Only every step-th prefix is kept, never the whole prefix.
+    """
+    e = _floor_log(top, p)
+    mod = p ** (e + _RESIDUE_DIGITS)
+    total, out = 0, [0]
+    for j in range(1, top // step * step + 1):
+        u, shift = j, e
+        while u % p == 0:
+            u //= p
+            shift -= 1
+        total += p**shift * pow(u, -1, mod)
+        if j % step == 0:
+            total %= mod
+            out.append(total)
+    return e, mod, out
 
 
 def _floor_log(n: int, p: int) -> int:
-    """floor(log_p n) for n >= 1."""
+    """floor(log_p n) for n >= 1, and 0 for n = 0."""
     e = 0
     while p ** (e + 1) <= n:
         e += 1
@@ -285,11 +316,11 @@ def _grid_report(p: int, description: str, points) -> PadicMembershipReport:
     )
 
 
-def _scan_tables(spec, p: int, a_max: int, k_max: int, level: Optional[int] = None):
-    """The tables of a case-(i) scan over a <= min(a_max, p-1), K <= k_max."""
+def _scan_q(spec, p: int, a_max: int, k_max: int):
+    """The Q table of a case-(i) scan over a <= min(a_max, p-1), K <= k_max."""
     if not classify(spec).case_i:
         raise ValueError(f"spec {spec} is not in case (i)")
-    return _tables(spec, p, min(a_max, p - 1), k_max, level)
+    return _tables(spec, p, min(a_max, p - 1), k_max)[0]
 
 
 def _tables(spec, p: int, a: int, big_k: int, level: Optional[int] = None):
@@ -320,24 +351,61 @@ def phi(
     return Fraction(_phi(q, h, p, a, big_k), h[1])
 
 
+def _required(spec: FactorialRatioSpec, level: int, p: int) -> int:
+    """1 + v_p(D_L): membership in p D_L Z_p."""
+    return 1 + int(vp_int(root_bound_dl(spec, level), p))
+
+
+def _residue_valuation(residue: int, p: int, scale: int, exact) -> Valuation:
+    """v_p(x) from residue = p^scale x mod p^(scale+D); exact() gives x on a 0."""
+    return int(vp_int(residue, p)) - scale if residue else vp_rational(exact(), p)
+
+
 def phi_membership_scan(
     spec: FactorialRatioSpec,
-    level: int,
     p: int,
     a_max: int,
     k_max: int,
-) -> PadicMembershipReport:
-    """phi in p D_L Z_p over the grid 0 <= a <= min(a_max, p-1), 0 <= K <= k_max."""
-    q, h = _scan_tables(spec, p, a_max, k_max, level)
-    required = 1 + int(vp_int(root_bound_dl(spec, level), p))
-    vp_den = vp_int(h[1], p)
-    points = (
-        ((a, big_k), required, vp_rational(_phi(q, h, p, a, big_k), p) - vp_den)
-        for a in range(min(a_max, p - 1) + 1)
-        for big_k in range(k_max + 1)
-    )
-    description = f"phi(L={level}) on a<=min({a_max},p-1), K<={k_max}"
-    return _grid_report(p, description, points)
+    level: Optional[int] = None,
+) -> list[PadicMembershipReport]:
+    """phi in p D_L Z_p over 0 <= a <= min(a_max, p-1), 0 <= K <= k_max.
+
+    One report per level, every level in order or only the one given.  With
+    Q = w/qd over common_denominator and P(x) = p^E H_x mod p^(E+D) from
+    one _harmonic_residues pass, g_n = w_n P(Ln) makes one _phi_residues
+    product per level read p^E qd^2 phi(a, K) mod p^(E+D) at n = a + Kp.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    q = _scan_q(spec, p, a_max, k_max)
+    levels = range(1, spec.max_entry + 1) if level is None else (level,)
+    required = {lev: _required(spec, lev, p) for lev in levels}
+    top = len(q) - 1
+    w, qd = common_denominator(q)
+    shift = 2 * int(vp_int(qd, p))
+    e, mod, h = _harmonic_residues(p, max(levels) * top, 1)
+    w = [x % mod for x in w]
+    reports = []
+    for lev in levels:
+        g = [x * h[lev * n] for n, x in enumerate(w)]
+        phi_mod = _phi_residues(w, g, p, mod, top)
+        points = (
+            (
+                (a, big_k),
+                required[lev],
+                _residue_valuation(
+                    phi_mod[a + big_k * p],
+                    p,
+                    e + shift,
+                    lambda: phi(spec, lev, p, a, big_k),
+                ),
+            )
+            for a in range(min(a_max, p - 1) + 1)
+            for big_k in range(k_max + 1)
+        )
+        description = f"phi(L={lev}) on a<=min({a_max},p-1), K<={k_max}"
+        reports.append(_grid_report(p, description, points))
+    return reports
 
 
 def _s_sum(q, a: int, big_k: int, s: int, p: int, m: int) -> int | Fraction:
@@ -495,14 +563,9 @@ def lemma24_scan(
     )
 
 
-def lemma_harmonic_check(
-    spec: FactorialRatioSpec, level: int, p: int, s: int, m: int
+def _harmonic_report(
+    p: int, level: int, s: int, m: int, required: int, actual: Valuation
 ) -> PadicMembershipReport:
-    """p^{s+1} g_p(m) (H_{L m p^s} - H_{L floor(m/p) p^{s+1}}) in p D_L Z_p."""
-    mu, _ = mu_and_g(spec, p, m)
-    block = harmonic_block(level * (m // p) * p ** (s + 1), level * m * p**s)
-    required = 1 + int(vp_int(root_bound_dl(spec, level), p))
-    actual = s + 1 + mu + vp_rational(block, p)
     return PadicMembershipReport(
         prime=p,
         required_valuation=required,
@@ -513,6 +576,17 @@ def lemma_harmonic_check(
     )
 
 
+def lemma_harmonic_check(
+    spec: FactorialRatioSpec, level: int, p: int, s: int, m: int
+) -> PadicMembershipReport:
+    """p^{s+1} g_p(m) (H_{L m p^s} - H_{L floor(m/p) p^{s+1}}) in p D_L Z_p."""
+    mu, _ = mu_and_g(spec, p, m)
+    block = harmonic_block(level * (m // p) * p ** (s + 1), level * m * p**s)
+    required = _required(spec, level, p)
+    actual = s + 1 + mu + vp_rational(block, p)
+    return _harmonic_report(p, level, s, m, required, actual)
+
+
 def lemma_harmonic_scan(
     spec: FactorialRatioSpec, p: int, s_max: int, m_max: int, level: Optional[int] = None
 ) -> list[PadicMembershipReport]:
@@ -521,10 +595,34 @@ def lemma_harmonic_scan(
     Returns the report of each failing point, then a summary row with the
     required and actual valuation of the point of smallest margin
     actual - required (the first in (L, s, m) order on a tie).
+
+    Both block endpoints are multiples of p^s, so one _harmonic_residues
+    pass per s gives every block as P(b) - P(a) = p^E (H_b - H_a) mod
+    p^(E+D); a zero difference is recomputed by harmonic_block.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     levels = range(1, spec.max_entry + 1) if level is None else (level,)
+    required = {lev: _required(spec, lev, p) for lev in levels}
+    mus = [mu_and_g(spec, p, m)[0] for m in range(m_max + 1)]
+    tables = [
+        _harmonic_residues(p, max(levels) * m_max * p**s, p**s)
+        for s in range(s_max + 1)
+    ]
+
+    def actual(lev: int, s: int, m: int) -> Valuation:
+        e, mod, h = tables[s]
+        # In units of p^s: a = L floor(m/p) p^{s+1}, b = L m p^s.
+        block = _residue_valuation(
+            (h[lev * m] - h[lev * (m // p) * p]) % mod,
+            p,
+            e,
+            lambda: harmonic_block(lev * (m // p) * p ** (s + 1), lev * m * p**s),
+        )
+        return s + 1 + mus[m] + block
+
     reports = [
-        lemma_harmonic_check(spec, lev, p, s, m)
+        _harmonic_report(p, lev, s, m, required[lev], actual(lev, s, m))
         for lev in levels
         for s in range(s_max + 1)
         for m in range(m_max + 1)
@@ -551,7 +649,7 @@ def congruence_star_check(
     """phi + sum_j H_{Lj}(Q(a+jp)Q(K-j) - Q(j)Q(a+(K-j)p)) in p D_L Z_p."""
     q, h = _tables(spec, p, a, big_k, level)
     residual = _phi(q, h, p, a, big_k) + _dwork_sum(q, h, p, a, big_k)
-    required = 1 + int(vp_int(root_bound_dl(spec, level), p))
+    required = _required(spec, level, p)
     return vp_rational(residual, p) - vp_int(h[1], p) >= required
 
 
@@ -564,7 +662,7 @@ def s_membership_scan(
     m_max: int,
 ) -> PadicMembershipReport:
     """S(a,K,s,p,m) in p^{s+1} g_p(m) Z_p over the lexicographic (a, K, s, m) grid."""
-    q, _ = _scan_tables(spec, p, a_max, k_max)
+    q = _scan_q(spec, p, a_max, k_max)
     mus = [mu_and_g(spec, p, m)[0] for m in range(m_max + 1)]
     points = (
         ((a, big_k, s, m), s + 1 + mus[m], vp_rational(_s_sum(q, a, big_k, s, p, m), p))

@@ -93,10 +93,10 @@ def test_criterion_5_proof_chain_scans():
     for spec in (S6, S12):
         big_m = spec.max_entry
         for p in (2, 3, 5, 7):
+            ok = ok and all(
+                r.member for r in phi_membership_scan(spec, p, a_max=p - 1, k_max=10)
+            )
             for level in range(1, big_m + 1):
-                ok = ok and phi_membership_scan(
-                    spec, level, p, a_max=p - 1, k_max=10
-                ).member
                 for s in range(3):
                     for m in range(21):
                         ok = ok and lemma_harmonic_check(spec, level, p, s, m).member

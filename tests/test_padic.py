@@ -18,7 +18,6 @@ from mirrorint.landau import (
 from mirrorint.mirror import build_bundle
 from mirrorint.padic import (
     INFINITE,
-    PadicMembershipReport,
     congruence25_check,
     congruence_star_check,
     dwork_decomposition_check,
@@ -48,6 +47,9 @@ S12 = FactorialRatioSpec((12,), (4, 3, 3, 2))
 TRIVIAL = FactorialRatioSpec((1,), (1,))
 CASE_II = FactorialRatioSpec((30, 1), (15, 10, 6))
 CORPUS_CASE_I = [S6, S12, FactorialRatioSpec((3,), (1, 1, 1)), S2]
+# Case (i), but Q(4) = 12!/24^4 is not an integer: 2 divides the common
+# denominator of Q, so the phi scan's 2 v_p(qd) shift is exercised.
+S3_1111 = FactorialRatioSpec((3,), (1, 1, 1, 1))
 
 # Case-(i) specs: multinomials (N)/(f) that pass the D >= 1 test, and the
 # unit-fraction specs with at most four terms (k up to 42).
@@ -223,20 +225,60 @@ class TestPhi:
     def test_scan_case_i(self):
         for level in (1, 3, 6):
             for p in (2, 3, 5, 7):
-                report = phi_membership_scan(S6, level, p, a_max=p - 1, k_max=8)
+                (report,) = phi_membership_scan(
+                    S6, p, a_max=p - 1, k_max=8, level=level
+                )
                 assert report.member, (level, p, report.witness)
 
     def test_scan_trivial(self):
-        report = phi_membership_scan(TRIVIAL, 1, 3, a_max=2, k_max=8)
+        (report,) = phi_membership_scan(TRIVIAL, 3, a_max=2, k_max=8, level=1)
         assert report.member
 
     def test_scan_refuses_case_ii(self):
         with pytest.raises(ValueError):
-            phi_membership_scan(CASE_II, 1, 3, a_max=2, k_max=5)
+            phi_membership_scan(CASE_II, 3, a_max=2, k_max=5, level=1)
 
     def test_scan_rejects_composite(self):
         with pytest.raises(ValueError):
-            phi_membership_scan(S6, 1, 4, a_max=3, k_max=4)
+            phi_membership_scan(S6, 4, a_max=3, k_max=4, level=1)
+
+    def test_scan_reports_every_level_in_order(self):
+        rows = phi_membership_scan(S12, 5, a_max=4, k_max=6)
+        assert rows == [
+            phi_membership_scan(S12, 5, a_max=4, k_max=6, level=level)[0]
+            for level in range(1, 13)
+        ]
+        assert [r.value_description for r in rows] == [
+            f"phi(L={level}) on a<=min(4,p-1), K<=6" for level in range(1, 13)
+        ]
+
+    @given(
+        spec=st.sampled_from(CORPUS_CASE_I + [S3_1111]),
+        raw_level=st.integers(0, 100),
+        p=st.sampled_from([2, 3, 5, 7]),
+        a_max=st.integers(0, 6),
+        k_max=st.integers(0, 6),
+        digits=st.sampled_from([1, 40]),
+    )
+    @example(spec=S3_1111, raw_level=0, p=2, a_max=1, k_max=4, digits=40)
+    @example(spec=S3_1111, raw_level=0, p=2, a_max=1, k_max=4, digits=1)
+    @example(spec=S12, raw_level=11, p=7, a_max=6, k_max=3, digits=40)
+    @settings(max_examples=60, deadline=None)
+    def test_scan_matches_exact_phi(self, spec, raw_level, p, a_max, k_max, digits):
+        # digits=1 keeps one p-adic digit past p^E, so most points, nonzero
+        # ones included, take the exact fallback.
+        level = 1 + raw_level % spec.max_entry
+        grid = [(a, k) for a in range(min(a_max, p - 1) + 1) for k in range(k_max + 1)]
+        valuations = [vp_rational(phi(spec, level, p, a, k), p) for a, k in grid]
+        required = 1 + vp_rational(Fraction(root_bound_dl(spec, level)), p)
+        failing = [pt for pt, v in zip(grid, valuations) if v < required]
+        with mock.patch.object(padic, "_RESIDUE_DIGITS", digits):
+            (report,) = phi_membership_scan(spec, p, a_max, k_max, level=level)
+        assert (report.required_valuation, report.actual_valuation) == (
+            required,
+            min(valuations),
+        )
+        assert report.witness == (failing[0] if failing else None)
 
 
 class TestSplitSum:
@@ -509,20 +551,63 @@ class TestLemmaHarmonic:
         )
 
     def test_scan_lists_failing_points_first(self, monkeypatch):
-        real = padic.lemma_harmonic_check
-
-        def weakened(spec, level, p, s, m):
-            report = real(spec, level, p, s, m)
-            if (level, s, m) == (2, 1, 1):
-                return PadicMembershipReport(
-                    p, report.required_valuation, "forced", 0, False, (level, s, m)
-                )
-            return report
-
-        monkeypatch.setattr(padic, "lemma_harmonic_check", weakened)
+        # D_2 = 3^10 asks valuation 11 of level 2, more than any of its
+        # points with a nonzero block reaches; m = 0 gives H_0 - H_0 = 0.
+        real = padic.root_bound_dl
+        monkeypatch.setattr(
+            padic,
+            "root_bound_dl",
+            lambda spec, level: 3**10 if level == 2 else real(spec, level),
+        )
         rows = lemma_harmonic_scan(S6, 3, 1, 2)
-        assert [r.witness for r in rows] == [(2, 1, 1), None]
-        assert not rows[-1].member and rows[-1].actual_valuation == 0
+        assert [r.witness for r in rows] == [
+            (2, 0, 1), (2, 0, 2), (2, 1, 1), (2, 1, 2), None,
+        ]
+        assert [r.actual_valuation for r in rows[:-1]] == [3, 2, 3, 2]
+        assert not rows[-1].member
+        assert (rows[-1].required_valuation, rows[-1].actual_valuation) == (11, 2)
+
+    @given(
+        spec=st.sampled_from(CORPUS_CASE_I + [S3_1111]),
+        raw_level=st.integers(0, 100),
+        p=st.sampled_from([2, 3, 5, 7]),
+        s_max=st.integers(0, 2),
+        m_max=st.integers(0, 12),
+        digits=st.sampled_from([1, 40]),
+    )
+    @example(spec=S12, raw_level=0, p=7, s_max=2, m_max=12, digits=40)
+    @example(spec=S12, raw_level=0, p=2, s_max=2, m_max=12, digits=1)
+    @settings(max_examples=60, deadline=None)
+    def test_scan_matches_exact_check(self, spec, raw_level, p, s_max, m_max, digits):
+        # Asking valuation 1000 everywhere makes every point with a nonzero
+        # block fail, so the scan lists each such point with its valuation.
+        # digits=1 sends most of them, nonzero ones included, to the exact
+        # fallback.
+        level = 1 + raw_level % spec.max_entry
+        with mock.patch.object(padic, "root_bound_dl", lambda spec, level: p**999):
+            expected = [
+                lemma_harmonic_check(spec, level, p, s, m)
+                for s in range(s_max + 1)
+                for m in range(m_max + 1)
+            ]
+            with mock.patch.object(padic, "_RESIDUE_DIGITS", digits):
+                rows = lemma_harmonic_scan(spec, p, s_max, m_max, level)
+        assert rows[:-1] == [r for r in expected if not r.member]
+        assert rows[-1].actual_valuation == min(r.actual_valuation for r in expected)
+
+    @pytest.mark.parametrize(
+        "p,top,step",
+        [(2, 0, 1), (2, 1, 1), (3, 27, 1), (3, 80, 9), (7, 100, 7), (5, 24, 25)],
+    )
+    def test_residue_table_holds_every_step_th_prefix(self, p, top, step):
+        e, mod, table = padic._harmonic_residues(p, top, step)
+        assert len(table) == top // step + 1
+        assert p**e <= max(top, 1) < p ** (e + 1)
+        assert mod == p ** (e + padic._RESIDUE_DIGITS)
+        for i, residue in enumerate(table):
+            assert 0 <= residue < mod
+            diff = p**e * harmonic(i * step) - residue
+            assert vp_rational(diff, p) >= e + padic._RESIDUE_DIGITS
 
     @given(
         spec=st.sampled_from(CORPUS_CASE_I),

@@ -50,6 +50,14 @@ series.common_denominator.  They are the README's example commands that
 no digest above covers: an F series, a level map at order 20, the README's
 level and cube roots, and one padic report each of phi, S, the harmonic
 lemma and lemma24 (the harmonic report had no digest at all).
+
+The last four digests were captured while the phi and harmonic-lemma scans
+still took v_p of exact Fractions at every grid point, before they read
+residues mod p^(E+D) and fell back to exact values only on a zero residue.
+They cover the phi grid of 12/4,3,3,2 at K <= 25 (the padic-scan
+benchmark's grid), its harmonic grid at m <= 20, the phi grid of the
+non-integral-Q spec 3/1,1,1,1 (exit 1), and the p = 7 harmonic grid at
+s <= 3, m <= 40.
 """
 
 import contextlib
@@ -246,6 +254,10 @@ GOLDEN = (
     ("padic --spec 12/4,3,3,2 --p 5 --what s --s-max 2 --m-max 10", 0, "b8df57fdd0afa2540b3de15377ad7f4a91ff8a930e5258dd3bb1efcc7650327b"),
     ("padic --spec 6/3,2,1 --p 3 --what harmonic", 0, "91e34cd4409ba31a4660832a85cee54534af109a3e080b4510ec844c64e457e5"),
     ("padic --spec 6/3,2,1 --p 2 --what lemma24 --m-max 30", 0, "5c98fce65d0225b7865b5ca21c04c3e2b8a62c4395e54ac790dbdc84acce6a7e"),
+    ("padic --spec 12/4,3,3,2 --what phi --p 2 --p 3 --p 5 --p 7 --k-max 25", 0, "b06f6129497bfeeafd4c602932e8b7faf7f6659b5358eed51f595512436bad9e"),
+    ("padic --spec 12/4,3,3,2 --what harmonic --p 2 --p 3 --p 5 --s-max 2 --m-max 20", 0, "f2ba9a9cdb6273b31b5592b7fe48b86cafa48e54e55edc99d32b59adf71a2c04"),
+    ("padic --spec 3/1,1,1,1 --what phi --p 2 --p 3 --k-max 15", 1, "ee9787b55e4771f360e3b377d9eff1246403c897c89682abd03bcef38b97ce03"),
+    ("padic --spec 12/4,3,3,2 --p 7 --what harmonic --s-max 3 --m-max 40", 0, "b8782340da463b73f4d62457c2be9f8ccdeac1b132476a7b0456601f7bff15bd"),
 )
 
 
