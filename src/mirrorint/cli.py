@@ -187,11 +187,8 @@ def cmd_verify(args) -> int:
     spec = parse_spec(args.spec)
     verdict = landau.classify(spec)
     root = args.root
-    if args.target == "qL":
-        if root is None:
-            root = landau.root_bound_dl(spec, args.level)
-    elif root is None:
-        root = 1
+    if root is None:
+        root = landau.root_bound_dl(spec, args.level) if args.target == "qL" else 1
 
     if root > 1 and not verdict.case_i:
         emit(
@@ -292,9 +289,9 @@ def _zhou_rows(summary: zhou.BatchSummary) -> list[dict]:
                 "ks": ",".join(map(str, v.instance.ks)),
                 "k": v.instance.k,
                 "ws": ",".join(map(str, v.instance.ws)),
-                "case_i": v.case_i,
-                "exponent": v.exponent,
-                "order": v.order,
+                "case_i": report is not None,
+                "exponent": v.instance.k,
+                "order": summary.order,
                 "integral": bool(report and report.integral),
                 "first_bad_index": report.first_bad_index if report else None,
             }
@@ -345,17 +342,14 @@ class CorpusEntry:
     detail: str
 
 
-def corpus_runner(order: Optional[int] = None) -> list[CorpusEntry]:
+def corpus_runner() -> list[CorpusEntry]:
     """Run the built-in regression corpus and return per-entry verdicts.
 
-    order=None runs each entry at its own corpus order.
+    Each spec runs at its own CORPUS order, the Zhou batch at ZHOU_ORDER.
     """
-    if order is not None and order < 1:
-        raise ValueError("order must be >= 1")
     entries: list[CorpusEntry] = []
-    for text, default_order, kind in CORPUS:
+    for text, n, kind in CORPUS:
         spec = parse_spec(text)
-        n = default_order if order is None else order
         verdict = landau.classify(spec)
         if kind == "case_i":
             if not (verdict.landau_integral and verdict.case_i):
@@ -394,14 +388,14 @@ def corpus_runner(order: Optional[int] = None) -> list[CorpusEntry]:
             CorpusEntry(
                 f"zhou {','.join(map(str, v.instance.ks))}",
                 v.passed,
-                f"root {v.exponent} at order {v.order}",
+                f"root {v.instance.k} at order {summary.order}",
             )
         )
     return entries
 
 
 def cmd_corpus(args) -> int:
-    entries = corpus_runner(order=args.order)
+    entries = corpus_runner()
     lines = [
         f"{'pass' if e.passed else 'FAIL'}  {e.name}: {e.detail}\n" for e in entries
     ]
@@ -430,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec_required=True):
-        p.add_argument("--spec", required=spec_required, help="e.g. 6/3,2,1")
+    def add_common(p):
+        p.add_argument("--spec", required=True, help="e.g. 6/3,2,1")
         p.add_argument("--output", help="write the report here instead of stdout")
 
     p = sub.add_parser("delta", help="profile and classify the step function")
@@ -478,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zhou)
 
     p = sub.add_parser("corpus", help="run the built-in regression corpus")
-    p.add_argument("--order", type=int)
     p.set_defaults(func=cmd_corpus)
 
     return parser

@@ -9,6 +9,7 @@ All arithmetic is exact (int / Fraction); nothing here touches floats.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -85,14 +86,7 @@ class LandauProfile:
         """Profile value of the piece containing x in [0, 1)."""
         if not 0 <= x < 1:
             raise ValueError("x must be in [0, 1)")
-        lo, hi = 0, len(self.breakpoints) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.breakpoints[mid] <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.values[lo]
+        return self.values[bisect.bisect_right(self.breakpoints, x) - 1]
 
 
 @dataclass(frozen=True)
@@ -165,14 +159,9 @@ def profile(spec: FactorialRatioSpec) -> LandauProfile:
     points = [Fraction(t, lcm) for t in ticks]
     jumps = []
     for i, b in enumerate(points):
-        if i == 0:
-            if not spec.balanced:
-                continue
-            # left limit at 0 is the last piece's value, by 1-periodicity
-            left = values[-1]
-        else:
-            left = values[i - 1]
-        jumps.append((b, values[i] - left))
+        # At i = 0, values[-1] is the left limit at 0 iff D is 1-periodic.
+        if i or spec.balanced:
+            jumps.append((b, values[i] - values[i - 1]))
     return LandauProfile(tuple(points), tuple(values), tuple(jumps))
 
 

@@ -14,7 +14,7 @@ non-increasing case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -68,10 +68,9 @@ class CaseTwoError(ValueError):
 
 @dataclass(frozen=True)
 class MirrorMapBundle:
-    """F at an order; G, G_L and their roots are computed per call, never kept."""
+    """F up to F.order; G, G_L and their roots are computed per call, never kept."""
 
     spec: FactorialRatioSpec
-    order: int
     F: TruncatedSeries
 
     @cached_property
@@ -92,7 +91,7 @@ class MirrorMapBundle:
         else:
             raise ValueError(f"level {level} outside [1, {spec.max_entry}]")
         return TruncatedSeries(
-            tuple(map(mul, self.F.coeffs, harmonic_sums(terms, self.order)))
+            tuple(map(mul, self.F.coeffs, harmonic_sums(terms, self.F.order)))
         )
 
     def root_coeffs(self, level: Optional[int] = None, v: int = 1) -> Iterator:
@@ -110,9 +109,9 @@ class MirrorMapBundle:
         to the first bad coefficient, which the report carries exactly.
         """
         g, f = self.g(level).coeffs, self.F.coeffs
-        if self.F_integral and dwork_root_index(g, f, v, self.order) is None:
-            return IntegralityReport(integral=True, order_checked=self.order)
-        return integrality_report(exp_quotient_root(g, f, v), self.order)
+        if self.F_integral and dwork_root_index(g, f, v, self.F.order) is None:
+            return IntegralityReport(integral=True, order_checked=self.F.order)
+        return integrality_report(exp_quotient_root(g, f, v), self.F.order)
 
 
 def build_bundle(spec: FactorialRatioSpec, order: int) -> MirrorMapBundle:
@@ -121,7 +120,7 @@ def build_bundle(spec: FactorialRatioSpec, order: int) -> MirrorMapBundle:
         raise ValueError(f"spec {spec} is not balanced (|e| != |f|)")
     if order < 1:
         raise ValueError("order must be >= 1")
-    return MirrorMapBundle(spec, order, TruncatedSeries(tuple(q_ratios(spec, order))))
+    return MirrorMapBundle(spec, TruncatedSeries(tuple(q_ratios(spec, order))))
 
 
 def verify_theorem1(
@@ -227,10 +226,8 @@ def reference_exponents(spec: FactorialRatioSpec) -> ReferenceExponents:
         omega *= Fraction(p) ** min(2 + om_flag, v_shift)
 
     q1_count = len(spec.e)
-    return ReferenceExponents(
-        spec=spec,
-        theta_l=theta_l,
-        q_one_over_theta=q_over,
+    return replace(
+        ref,
         xi=xi,
         omega=omega,
         xi_exponent=xi * q_one,

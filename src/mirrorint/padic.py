@@ -124,10 +124,12 @@ def vp_rational(x: int | Fraction, p: int) -> Valuation:
 def vp_q_ratio_via_delta(spec: FactorialRatioSpec, n: int, p: int) -> int:
     """v_p(Q(n)) as the sum of step-function values at {n/p^l}.
 
-    Requires a balanced spec passing the Landau criterion, so that the sum
-    telescopes out of the Legendre formula for v_p(m!).  Terms vanish once
-    p^l exceeds n*M.
+    Requires a balanced spec, so that the sum telescopes out of the Legendre
+    formula for v_p(m!); Landau integrality is not needed.  Terms vanish
+    once p^l exceeds n*M.
     """
+    if not spec.balanced:
+        raise ValueError(f"spec {spec} is not balanced (|e| != |f|)")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n == 0:
@@ -495,20 +497,12 @@ def lemma_ablanc_check(spec: FactorialRatioSpec, p: int, m: int) -> bool:
     return not any(_frac_below(m, p**ell, big_m) for ell in levels)
 
 
-def lemma24_check(
-    p: int,
-    s: int,
-    a: int,
-    big_m: int,
-    m: int,
-    level: int,
-    u: Optional[int] = None,
-) -> bool:
-    """{(a + m p^s)/p^l} >= 1/M for l in [s, s + v_p(Lm+u) + alpha].
+def lemma24_check(p: int, s: int, a: int, big_m: int, m: int, level: int) -> bool:
+    """{(a + m p^s)/p^l} >= 1/M for l in [s, s + v_p(Lm+u) + alpha], every u.
 
-    alpha = floor(log_p(M/L)).  With u=None, every u in 1..floor(La/p^s) is
-    checked; an empty u-range is vacuously true.  Every range starts at s,
-    so one walk up to the largest v_p(Lm+u) covers them all.
+    alpha = floor(log_p(M/L)) and u runs over 1..floor(La/p^s); an empty
+    u-range is vacuously true.  Every range starts at s, so one walk up to
+    the largest v_p(Lm+u) covers them all.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -517,16 +511,10 @@ def lemma24_check(
     if not 1 <= level <= big_m:
         raise ValueError("level must satisfy 1 <= L <= M")
     u_top = (level * a) // p**s
-    if u is None:
-        u_values = range(1, u_top + 1)
-    else:
-        if not 1 <= u <= u_top:
-            raise ValueError(f"u must be in [1, {u_top}]")
-        u_values = (u,)
-    # Lm + u >= 1, so each valuation is finite.
-    v_max = max((int(vp_int(level * m + u_val, p)) for u_val in u_values), default=None)
-    if v_max is None:
+    if u_top == 0:
         return True
+    # Lm + u >= 1, so each valuation is finite.
+    v_max = max(int(vp_int(level * m + u, p)) for u in range(1, u_top + 1))
     point = a + m * p**s
     top = s + v_max + _floor_log(big_m // level, p)
     return not any(_frac_below(point, p**ell, big_m) for ell in range(s, top + 1))

@@ -83,15 +83,14 @@ def enumerate_decompositions(n: int) -> list[ZhouInstance]:
 
 @dataclass(frozen=True)
 class ZhouVerdict:
+    """The report on (z^-1 q)^(1/instance.k), or None outside case (i)."""
+
     instance: ZhouInstance
-    case_i: bool
-    exponent: int
-    order: int
     report: Optional[IntegralityReport]
 
     @property
     def passed(self) -> bool:
-        return self.case_i and self.report is not None and self.report.integral
+        return self.report is not None and self.report.integral
 
 
 def verify_zhou(instance: ZhouInstance, order: int) -> ZhouVerdict:
@@ -102,11 +101,10 @@ def verify_zhou(instance: ZhouInstance, order: int) -> ZhouVerdict:
     surfaced in the verdict instead of being swallowed.
     """
     spec = instance.spec
-    verdict = classify(spec)
-    if not verdict.case_i:
-        return ZhouVerdict(instance, False, instance.k, order, None)
+    if not classify(spec).case_i:
+        return ZhouVerdict(instance, None)
     report = build_bundle(spec, order).root_integrality(None, instance.k)
-    return ZhouVerdict(instance, True, instance.k, order, report)
+    return ZhouVerdict(instance, report)
 
 
 @dataclass(frozen=True)

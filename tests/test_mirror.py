@@ -92,7 +92,7 @@ def _root(bundle, level=None) -> TruncatedSeries:
 
 def product_relation_check(bundle) -> bool:
     """Check exp(G/F) = prod q_{e_i}^{e_i} / prod q_{f_j}^{f_j} exactly."""
-    rhs = TruncatedSeries.one(bundle.order)
+    rhs = TruncatedSeries.one(bundle.F.order)
     for c in bundle.spec.e:
         rhs = rhs * _root(bundle, c) ** c
     for c in bundle.spec.f:

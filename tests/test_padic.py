@@ -132,7 +132,15 @@ class TestValuationViaDelta:
     def test_q_of_one(self):
         assert vp_q_ratio_via_delta(S6, 1, 5) == 1
 
-    @pytest.mark.parametrize("spec", [S6, S2, S12, TRIVIAL, CASE_II])
+    @pytest.mark.parametrize("e,f", [((2,), (1,)), ((4,), (1, 1, 1)), ((3,), (1,) * 4)])
+    def test_unbalanced_spec_rejected(self, e, f):
+        # For 2/1, v_2(4!/2!) = 2 but the step-function sum gives 1.
+        with pytest.raises(ValueError, match="not balanced"):
+            vp_q_ratio_via_delta(FactorialRatioSpec(e, f), 2, 2)
+
+    @pytest.mark.parametrize(
+        "spec", [S6, S2, S12, TRIVIAL, CASE_II, FactorialRatioSpec((1, 1), (2,))]
+    )
     def test_agrees_with_direct_valuation(self, spec):
         for p in (2, 3, 5, 7, 11, 13):
             for n in range(0, 60):
@@ -439,16 +447,14 @@ class TestLemma24:
         assert lemma24_check(3, 1, 0, 6, 4, 2)  # floor(La/p^s) = 0
 
     def test_single_inequality(self):
-        # v_p(Lm+u) = 0 and alpha = 0: one fractional-part comparison
-        assert lemma24_check(5, 1, 4, 5, 1, 5, u=3)
+        # u = 1..4: v_p(Lm+u) = 0 and alpha = 0, one fractional-part comparison
+        assert lemma24_check(5, 1, 4, 5, 1, 5)
 
     def test_precondition_violations(self):
         with pytest.raises(ValueError):
             lemma24_check(3, 0, 0, 6, 1, 2)
         with pytest.raises(ValueError):
             lemma24_check(3, 1, 3, 6, 1, 2)
-        with pytest.raises(ValueError):
-            lemma24_check(3, 1, 2, 6, 1, 2, u=5)
 
     def test_scan_one_level(self):
         report = lemma24_scan(S12, 3, 10, level=4)
@@ -506,12 +512,11 @@ class TestFractionalPartOracles:
         s=st.sampled_from([1, 2, 3]),
         raw_a=st.integers(0, 13**3 - 1),
         m=st.integers(0, 200),
-        raw_u=st.integers(0, 11),
     )
     @settings(max_examples=300, deadline=None)
     # u = 1..6 at m = 0: v_2(u) ranges over 0, 1 and 2
-    @example(p=2, big_m=12, raw_level=11, s=1, raw_a=1, m=0, raw_u=0)
-    def test_lemma24(self, p, big_m, raw_level, s, raw_a, m, raw_u):
+    @example(p=2, big_m=12, raw_level=11, s=1, raw_a=1, m=0)
+    def test_lemma24(self, p, big_m, raw_level, s, raw_a, m):
         level, a = 1 + raw_level % big_m, raw_a % p**s
         alpha = _floor_log(Fraction(big_m, level), p)
         point = a + m * p**s
@@ -526,11 +531,6 @@ class TestFractionalPartOracles:
         with _moduli_examined() as seen:
             assert lemma24_check(p, s, a, big_m, m, level) == all(map(holds, u_values))
         assert seen == {p**ell for u in u_values for ell in levels(u)}
-        if u_values:
-            u = u_values[raw_u % len(u_values)]
-            with _moduli_examined() as seen:
-                assert lemma24_check(p, s, a, big_m, m, level, u=u) == holds(u)
-            assert seen == {p**ell for ell in levels(u)}
 
 
 class TestLemmaHarmonic:

@@ -61,12 +61,12 @@ class TestEnumeration:
 class TestVerify:
     def test_k_six(self):
         verdict = verify_zhou(ZhouInstance((2, 3, 6)), order=40)
-        assert verdict.case_i and verdict.exponent == 6
+        assert verdict.report is not None and verdict.instance.k == 6
         assert verdict.report.integral
 
     def test_k_twelve(self):
         verdict = verify_zhou(ZhouInstance((3, 4, 4, 6)), order=30)
-        assert verdict.exponent == 12
+        assert verdict.instance.k == 12
         assert verdict.report.integral
 
     def test_degenerate(self):
