@@ -69,7 +69,7 @@ def common_denominator(xs: Sequence[Scalar]) -> tuple[list[int], int]:
 
 
 def exp_quotient_root(
-    g: Sequence[Scalar], f: Sequence[Scalar], v: int = 1
+    g: Sequence[Scalar], f: Sequence[Scalar], v: int
 ) -> Iterator[Scalar]:
     """Yield the coefficients y_0, y_1, ... of exp(h/v), where f h = g.
 

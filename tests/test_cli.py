@@ -216,21 +216,29 @@ class TestPadicScans:
         assert row["member"] is True
         assert (row["required_valuation"], row["actual_valuation"]) == (3, actual)
 
-    @pytest.mark.parametrize("level,seen", [("2", {2}), (None, set(range(1, 7)))])
-    def test_lemma24_scans_only_the_given_level(self, level, seen, monkeypatch, capsys):
-        levels = set()
-        real = padic.lemma24_check
-
-        def spy(p, s, a, big_m, m, level):
-            levels.add(level)
-            return real(p, s, a, big_m, m, level)
-
-        monkeypatch.setattr(padic, "lemma24_check", spy)
+    @pytest.mark.parametrize("level", ["2", None])
+    def test_lemma24_scans_only_the_given_level(self, level, monkeypatch, capsys):
+        # Three more moduli in level 3's walk (M // L = 2 at level 3 alone)
+        # make the lemma fail at (s, a, L, m) = (1, 1, 3, 0): the verdict of
+        # every level sees it, and the verdict of --L 2 does not.
+        real = padic._floor_log
+        monkeypatch.setattr(padic, "_floor_log", lambda n, p: real(n, p) + 3 * (n == 2))
+        levels = [int(level)] if level else range(1, 7)
+        failing = [
+            (s, a, lev, m)
+            for s in (1, 2)
+            for a in range(3**s)
+            for lev in levels
+            for m in range(6)
+            if not padic.lemma24_check(3, s, a, 6, m, lev)
+        ]
+        assert bool(failing) == (level is None)
         argv = ["padic", "--spec", "6/3,2,1", "--p", "3", "--what", "lemma24"]
         argv += ["--m-max", "5"] + (["--L", level] if level else [])
-        assert main(argv) == EXIT_OK
-        assert levels == seen
+        assert main(argv) == (EXIT_FAILED if failing else EXIT_OK)
         (row,) = json.loads(capsys.readouterr().out)["reports"]
+        assert row["member"] == (not failing)
+        assert row["witness"] == (list(failing[0]) if failing else None)
         where = f"L={level}, " if level else ""
         assert row["value_description"] == f"lemma24 grid {where}m<=5"
 

@@ -332,6 +332,49 @@ class TestSplitSum:
         assert (report.required_valuation, report.actual_valuation) == tightest
         assert tightest == (3, 3)  # at (a, K, s, m) = (0, 1, 0, 1)
 
+    @pytest.mark.parametrize("spec", [S6, S12, S3_1111])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("digits", [1, 40])
+    def test_scan_matches_exact_block_sums(self, spec, p, digits):
+        # digits=1 keeps one p-adic digit past p^(2 v_p(qd)), so most
+        # blocks, nonzero ones included, take the exact fallback.
+        a_max, k_max, s_max, m_max = 4, 9, 2, 6
+        with mock.patch.object(padic, "_RESIDUE_DIGITS", digits):
+            report = s_membership_scan(spec, p, a_max, k_max, s_max, m_max)
+        points = (
+            (
+                (a, big_k, s, m),
+                s + 1 + mu_and_g(spec, p, m)[0],
+                vp_rational(s_sum(spec, a, big_k, s, p, m), p),
+            )
+            for a in range(min(a_max, p - 1) + 1)
+            for big_k in range(k_max + 1)
+            for s in range(s_max + 1)
+            for m in range(m_max + 1)
+        )
+        assert report == padic._grid_report(p, report.value_description, points)
+        assert report.member == (spec != S3_1111)
+
+    @given(
+        spec=st.sampled_from(CORPUS_CASE_I + [S3_1111]),
+        p=st.sampled_from([2, 3, 5]),
+        raw_a=st.integers(0, 4),
+        s=st.integers(0, 2),
+        m=st.integers(0, 3),
+        raw_k=st.integers(0, 24),
+        truncated=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_block_is_zero(self, spec, p, raw_a, s, m, raw_k, truncated):
+        # The block [lo, hi) with lo + hi - 1 = K is symmetric about K/2: a
+        # full block at K = 2 m p^s + p^s - 1, or the block m = 0 cut at
+        # hi = K + 1 when K < p^s.
+        if truncated:
+            m, big_k = 0, raw_k % p**s
+        else:
+            big_k = 2 * m * p**s + p**s - 1
+        assert s_sum(spec, raw_a % p, big_k, s, p, m) == 0
+
 
 class TestDifferentialOracles:
     """phi and S from per-call tables against their defining sums over q_ratio."""
@@ -461,6 +504,57 @@ class TestLemma24:
         assert report.member and report.witness is None
         assert report.value_description == "lemma24 grid L=4, m<=10"
         assert lemma24_scan(S12, 3, 10).value_description == "lemma24 grid m<=10"
+
+    def test_scan_rejects_level_outside_range(self):
+        for level in (0, 13):
+            with pytest.raises(ValueError):
+                lemma24_scan(S12, 3, 4, level=level)
+
+    @given(
+        p=st.sampled_from(PRIMES_TO_13),
+        step=st.integers(1, 12),
+        count=st.integers(1, 200),
+        m_max=st.integers(0, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(p=2, step=4, count=7, m_max=3)  # (0, 7] holds 4: v = 2
+    def test_interval_valuation_is_the_largest(self, p, step, count, m_max):
+        expected = [
+            max(padic.vp_int(step * m + u, p) for u in range(1, count + 1))
+            for m in range(m_max + 1)
+        ]
+        assert padic._interval_valuations(p, step, count, m_max) == expected
+
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        big_m=st.integers(1, 12),
+        raw_level=st.integers(0, 11),
+        one_level=st.booleans(),
+        m_max=st.integers(0, 12),
+        extra=st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(p=3, big_m=6, raw_level=0, one_level=False, m_max=5, extra=3)
+    def test_scan_matches_check(self, p, big_m, raw_level, one_level, m_max, extra):
+        # The lemma holds, so extra moduli in every walk (alpha + extra) are
+        # what makes points fail: the scan must fail first where the check
+        # does.
+        spec = FactorialRatioSpec((big_m,), (big_m,))
+        level = 1 + raw_level % big_m if one_level else None
+        levels = [level] if one_level else range(1, big_m + 1)
+        real = padic._floor_log
+        with mock.patch.object(padic, "_floor_log", lambda n, p: real(n, p) + extra):
+            failing = [
+                (s, a, lev, m)
+                for s in (1, 2)
+                for a in range(p**s)
+                for lev in levels
+                for m in range(m_max + 1)
+                if not lemma24_check(p, s, a, big_m, m, lev)
+            ]
+            report = lemma24_scan(spec, p, m_max, level)
+        assert report.member == (not failing)
+        assert report.witness == (failing[0] if failing else None)
 
     def test_exhaustive_small_grid(self):
         for p in (2, 3):

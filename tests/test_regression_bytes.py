@@ -58,6 +58,14 @@ They cover the phi grid of 12/4,3,3,2 at K <= 25 (the padic-scan
 benchmark's grid), its harmonic grid at m <= 20, the phi grid of the
 non-integral-Q spec 3/1,1,1,1 (exit 1), and the p = 7 harmonic grid at
 s <= 3, m <= 40.
+
+The last three digests were captured while the S and lemma24 scans still
+took v_p of an exact block sum at every grid point and checked lemma 2.4
+point by point, before S read one prefix-sum pass of residues per (a, K)
+and the lemma read max v_p(Lm+u) from one interval per (s, L, m).  They
+cover the padic-scan benchmark's S grid at K, m <= 30 and its lemma24 grid
+at m <= 60, and the S grid of the non-integral-Q spec 3/1,1,1,1 at
+K, m <= 20, s <= 3 (exit 1, with a witness).
 """
 
 import contextlib
@@ -258,6 +266,9 @@ GOLDEN = (
     ("padic --spec 12/4,3,3,2 --what harmonic --p 2 --p 3 --p 5 --s-max 2 --m-max 20", 0, "f2ba9a9cdb6273b31b5592b7fe48b86cafa48e54e55edc99d32b59adf71a2c04"),
     ("padic --spec 3/1,1,1,1 --what phi --p 2 --p 3 --k-max 15", 1, "ee9787b55e4771f360e3b377d9eff1246403c897c89682abd03bcef38b97ce03"),
     ("padic --spec 12/4,3,3,2 --p 7 --what harmonic --s-max 3 --m-max 40", 0, "b8782340da463b73f4d62457c2be9f8ccdeac1b132476a7b0456601f7bff15bd"),
+    ("padic --spec 12/4,3,3,2 --what s --p 2 --p 3 --p 5 --k-max 30 --s-max 3 --m-max 30", 0, "0c279f7f03c2ab92ee8a463440456dbd38152311e7028d41706beaa3c0643142"),
+    ("padic --spec 12/4,3,3,2 --what lemma24 --p 2 --p 3 --p 5 --m-max 60", 0, "fca82d89e3f021f99a9d11706e8ac0bf51ec90af2f2b6e658f212f3b72022a89"),
+    ("padic --spec 3/1,1,1,1 --what s --p 2 --p 3 --p 5 --k-max 20 --s-max 3 --m-max 20", 1, "a60df04a2a9584db193128c17d557bfa11ac4d74af2c22f16fd2042d744ea587"),
 )
 
 

@@ -109,12 +109,12 @@ def test_wrong_roots_caught_at_index_one(root):
 
 def test_kernel_rejects_bad_input():
     with pytest.raises(ValueError):
-        list(exp_quotient_root((1, 0), [1, 0]))
+        list(exp_quotient_root((1, 0), [1, 0], v=1))
     with pytest.raises(ValueError):
         list(exp_quotient_root((0, 1), [1, 0], v=0))
     with pytest.raises(ValueError):
-        list(exp_quotient_root((0, 1), (2, 1)))
-    assert list(exp_quotient_root((0, 1, 0, 0), [1, 0, 0, 0])) == list(
+        list(exp_quotient_root((0, 1), (2, 1), v=1))
+    assert list(exp_quotient_root((0, 1, 0, 0), [1, 0, 0, 0], v=1)) == list(
         TruncatedSeries.from_coeffs([0, 1], order=3).exp().coeffs
     )
 
