@@ -4,16 +4,21 @@ Everything in this module is a pure function of a pair of positive integer
 tuples (e, f): the ratio Q(n) = prod (e_i n)! / prod (f_j n)!, the step
 function D(x) = sum floor(e_i x) - sum floor(f_j x), its piecewise-constant
 profile on [0, 1), and the derived integers M, D_L used as root exponents.
-All arithmetic is exact (int / Fraction); nothing here touches floats.
+D is enumerated one way only, by its jump table over the ticks s/L (L the
+lcm of the entries).  The same table steps Q(n) from Q(n-1), and its
+derivative in n steps the log-companion G_n = Q(n) (sum e_i H_{e_i n} -
+sum f_j H_{f_j n}).  All arithmetic is exact (int / Fraction); nothing
+here touches floats.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import Sequence
 
 
 __all__ = [
@@ -22,6 +27,7 @@ __all__ = [
     "Classification",
     "q_ratio",
     "q_ratios",
+    "log_companion",
     "delta_at",
     "profile",
     "classify",
@@ -82,12 +88,6 @@ class LandauProfile:
     values: tuple[int, ...]
     jumps: tuple[tuple[Fraction, int], ...]
 
-    def value_at(self, x: Fraction) -> int:
-        """Profile value of the piece containing x in [0, 1)."""
-        if not 0 <= x < 1:
-            raise ValueError("x must be in [0, 1)")
-        return self.values[bisect.bisect_right(self.breakpoints, x) - 1]
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -108,23 +108,117 @@ def q_ratio(spec: FactorialRatioSpec, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def q_ratios(spec: FactorialRatioSpec, order: int) -> list[int | Fraction]:
-    """Q(0), ..., Q(order), each from the one before.
+def _jump_table(spec: FactorialRatioSpec) -> tuple[int, list[int], list[int]]:
+    """The jumps of D: (L, ticks, eps) for the 0 < s <= L where an entry jumps.
 
-    Q(n) = Q(n-1) * prod_i (e_i n)! / (e_i (n-1))! / prod_j (f_j n)! / (f_j (n-1))!.
+    L is the lcm of the entries.  floor(c x) jumps by 1 at x = s/L exactly when
+    L/c divides s, so eps_s counts the e-entries jumping at s/L minus the
+    f-entries; eps_L = |e| - |f|.  A tick where jumps cancel stays, with
+    eps_s = 0.  ticks is sorted and eps[i] is the jump at ticks[i].
+    """
+    lcm = math.lcm(*spec.e, *spec.f)
+    jumps: dict[int, int] = {}
+    for entries, sign in ((spec.e, 1), (spec.f, -1)):
+        for c in entries:
+            step = lcm // c
+            for s in range(step, lcm + 1, step):
+                jumps[s] = jumps.get(s, 0) + sign
+    ticks = sorted(jumps)
+    return lcm, ticks, [jumps[s] for s in ticks]
+
+
+def _recurrence(spec: FactorialRatioSpec) -> tuple[int, Fraction, list[int], list[int]]:
+    """(L, C, up, down) with Q(n) = Q(n-1) C prod_s (L(n-1) + s)^eps_s.
+
+    (cn)! / (c(n-1))! = (c/L)^c prod (L(n-1) + s) over the s = iL/c, i = 1..c,
+    so C = prod_f (L/f)^f / prod_e (L/e)^e, and a factor shared by an e-block
+    and an f-block cancels in eps_s before anything is multiplied.  up lists
+    each s with eps_s > 0 eps_s times, down each s with eps_s < 0 -eps_s times.
+    """
+    lcm, ticks, eps = _jump_table(spec)
+    c = Fraction(
+        math.prod((lcm // f) ** f for f in spec.f),
+        math.prod((lcm // e) ** e for e in spec.e),
+    )
+    up = [s for s, w in zip(ticks, eps) for _ in range(w)]
+    down = [s for s, w in zip(ticks, eps) for _ in range(-w)]
+    return lcm, c, up, down
+
+
+def _product(base: int, factors: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """(P, P') for P = prod (base + s) over factors[lo:hi], P' = P sum 1/(base + s).
+
+    P' is the derivative of P in base; both come from one binary split.
+    """
+    if hi - lo <= 16:
+        # Short runs are cheaper factor by factor than split further.
+        p, d = 1, 0
+        for x in map(base.__add__, factors[lo:hi]):
+            p, d = p * x, d * x + p
+        return p, d
+    mid = (lo + hi) // 2
+    p1, d1 = _product(base, factors, lo, mid)
+    p2, d2 = _product(base, factors, mid, hi)
+    return p1 * p2, d1 * p2 + p1 * d2
+
+
+def q_ratios(spec: FactorialRatioSpec, order: int) -> list[int | Fraction]:
+    """Q(0), ..., Q(order), each from the one before by the jump table of D.
+
+    Q(n) = Q(n-1) C prod_s (L(n-1) + s)^eps_s (see _recurrence): one exact
+    division per step, by the negative factors and the denominator of C.
     A value is an int when the division is exact and a Fraction otherwise
     (specs that fail the Landau criterion); both take the same path.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    lcm, c, up, down = _recurrence(spec)
     q = 1
     out = [q]
     for n in range(1, order + 1):
-        q *= math.prod(math.perm(c * n, c) for c in spec.e)
-        den = math.prod(math.perm(c * n, c) for c in spec.f)
+        base = lcm * (n - 1)
+        q *= c.numerator * math.prod(map(base.__add__, up))
+        den = c.denominator * math.prod(map(base.__add__, down))
         quotient, remainder = divmod(q, den)
         q = quotient if remainder == 0 else Fraction(q, den)
         out.append(q)
+    return out
+
+
+def log_companion(spec: FactorialRatioSpec, q: Sequence) -> list[int | Fraction]:
+    """G_n = Q(n) S(n) for n < len(q), read from q = Q(0..N).
+
+    The weight S(n) = sum e_i H_{e_i n} - sum f_j H_{f_j n} steps by
+    L sum_s eps_s / (L(n-1) + s), so differentiating Q's recurrence gives
+    P_- G_n = C P_+ G_{n-1} + L (C Q(n-1) P_+' - Q(n) P_-'), with P_+ and
+    P_- the products of its positive and negative factors and
+    P' = P sum 1/(L(n-1) + s) over the factors.  G is carried as its
+    numerator over its own small denominator, so a step makes one exact
+    division by P_-, and a full reduction only when G_n gains a denominator
+    that G_{n-1} lacks.
+    A value is an int when integral and a Fraction otherwise; a non-Landau q
+    takes the same path in Fractions.
+    """
+    lcm, c, up, down = _recurrence(spec)
+    g = 0
+    out = [g]
+    for n in range(1, len(q)):
+        base = lcm * (n - 1)
+        up_n, up_d = _product(base, up, 0, len(up))
+        down_n, down_d = _product(base, down, 0, len(down))
+        # num = scale P_- G_n, an integer whenever Q(n-1) and Q(n) are.
+        scale = c.denominator * g.denominator
+        num = c.numerator * up_n * g.numerator + lcm * g.denominator * (
+            c.numerator * q[n - 1] * up_d - c.denominator * q[n] * down_d
+        )
+        quotient, remainder = divmod(num, down_n)
+        if remainder == 0:
+            g = Fraction(quotient, scale)
+        else:
+            g = Fraction(num, scale * down_n)
+        if g.denominator == 1:
+            g = g.numerator
+        out.append(g)
     return out
 
 
@@ -136,33 +230,27 @@ def delta_at(spec: FactorialRatioSpec, x: Fraction) -> int:
     )
 
 
-def _ticks(spec: FactorialRatioSpec) -> tuple[int, list[int], list[int]]:
-    """D on [0, 1) as integer ticks t, meaning the abscissa t / lcm of the entries.
+def _ticks(spec: FactorialRatioSpec) -> tuple[int, list[int], list[int], list[int]]:
+    """D on [0, 1) as integer ticks t, meaning the abscissa t / L, from the jump table.
 
-    The candidate breakpoints i/c (c an entry, 0 <= i < c) are exactly the
-    points where some floor(c x) can jump; at tick t the value is
-    sum floor(c t / lcm) over e minus the same over f.  Returns (lcm, sorted
-    ticks, values).
+    The ticks are 0 and every s < L where some floor(c x) jumps.  D(0) = 0
+    and D steps by eps_s at s.  Returns (L, ticks, values, jumps), where
+    jumps[i] is eps at ticks[i] and the jump at 0 is eps_L, the one at 1.
     """
-    lcm = math.lcm(*spec.e, *spec.f)
-    ticks = sorted({i * (lcm // c) for c in set(spec.e + spec.f) for i in range(c)})
-    values = [
-        sum(c * t // lcm for c in spec.e) - sum(c * t // lcm for c in spec.f)
-        for t in ticks
-    ]
-    return lcm, ticks, values
+    lcm, ticks, eps = _jump_table(spec)
+    jumps = eps[-1:] + eps[:-1]
+    return lcm, [0] + ticks[:-1], list(accumulate(eps[:-1], initial=0)), jumps
 
 
 def profile(spec: FactorialRatioSpec) -> LandauProfile:
     """Exact piecewise-constant profile of D on [0, 1)."""
-    lcm, ticks, values = _ticks(spec)
+    lcm, ticks, values, jumps = _ticks(spec)
     points = [Fraction(t, lcm) for t in ticks]
-    jumps = []
-    for i, b in enumerate(points):
-        # At i = 0, values[-1] is the left limit at 0 iff D is 1-periodic.
-        if i or spec.balanced:
-            jumps.append((b, values[i] - values[i - 1]))
-    return LandauProfile(tuple(points), tuple(values), tuple(jumps))
+    # The jump at 0 is a jump of D on [0, 1) only if D is 1-periodic.
+    start = 0 if spec.balanced else 1
+    return LandauProfile(
+        tuple(points), tuple(values), tuple(zip(points[start:], jumps[start:]))
+    )
 
 
 def classify(spec: FactorialRatioSpec) -> Classification:
@@ -171,10 +259,10 @@ def classify(spec: FactorialRatioSpec) -> Classification:
     The first condition is the Landau integrality criterion for Q; the second
     is the dichotomy hypothesis under which the root theorems apply.
     """
-    lcm, ticks, values = _ticks(spec)
+    lcm, ticks, values, jumps = _ticks(spec)
     negative = [Fraction(t, lcm) for t, v in zip(ticks, values) if v < 0]
-    end = delta_at(spec, Fraction(1))
-    if end < 0:
+    # D(1): the last piece plus the jump at 1.
+    if values[-1] + jumps[0] < 0:
         negative.append(Fraction(1))
     # t / lcm >= 1/M
     big_m = spec.max_entry
@@ -234,22 +322,17 @@ def harmonic_block(a: int, b: int) -> Fraction:
     return Fraction(*_reciprocal_block(a, b))
 
 
-def harmonic_sums(terms: tuple[tuple[int, int], ...], order: int) -> list[Fraction]:
-    """sum_{(c, w) in terms} w H_{c n} for n = 0, ..., order.
+def harmonic_sums(level: int, order: int) -> list[Fraction]:
+    """H_{L n} for n = 0, ..., order, with L = level.
 
-    Step n adds, per term, the block sum_{c(n-1) < j <= cn} 1/j, summed by
-    binary splitting (Haible-Papanikolaou).  The blocks are combined
-    unreduced and the running total is reduced once per step.
+    Step n adds the block sum_{L(n-1) < j <= Ln} 1/j, summed by binary
+    splitting (Haible-Papanikolaou) and added to the running total once.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     total = Fraction(0)
     out = [total]
     for n in range(1, order + 1):
-        num, den = 0, 1
-        for c, w in terms:
-            p, q = _reciprocal_block(c * (n - 1), c * n)
-            num, den = num * q + w * p * den, den * q
-        total += Fraction(num, den)
+        total += Fraction(*_reciprocal_block(level * (n - 1), level * n))
         out.append(total)
     return out

@@ -25,6 +25,7 @@ from .landau import (
     FactorialRatioSpec,
     classify,
     harmonic_sums,
+    log_companion,
     q_ratios,
     root_bound_dl,
 )
@@ -81,17 +82,16 @@ class MirrorMapBundle:
     def g(self, level: Optional[int] = None) -> TruncatedSeries:
         """G for level=None, else G_L for a level L in [1, M].
 
-        Coefficient n is Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}), or Q(n) H_{L n}.
+        Coefficient n is Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}), read from
+        F by landau.log_companion, or Q(n) H_{L n}.
         """
         spec = self.spec
         if level is None:
-            terms = tuple((c, c) for c in spec.e) + tuple((c, -c) for c in spec.f)
-        elif 1 <= level <= spec.max_entry:
-            terms = ((level, 1),)
-        else:
+            return TruncatedSeries(tuple(log_companion(spec, self.F.coeffs)))
+        if not 1 <= level <= spec.max_entry:
             raise ValueError(f"level {level} outside [1, {spec.max_entry}]")
         return TruncatedSeries(
-            tuple(map(mul, self.F.coeffs, harmonic_sums(terms, self.F.order)))
+            tuple(map(mul, self.F.coeffs, harmonic_sums(level, self.F.order)))
         )
 
     def root_coeffs(self, level: Optional[int] = None, v: int = 1) -> Iterator:
@@ -195,7 +195,7 @@ def reference_exponents(spec: FactorialRatioSpec) -> ReferenceExponents:
     predictions Xi_N Q(1) and Omega_N Q(1) q1 N are the usable exponents.
     """
     big_m = spec.max_entry
-    h = harmonic_sums(((1, 1),), big_m)  # H_0..H_M
+    h = harmonic_sums(1, big_m)  # H_0..H_M
     theta_l = {level: h[level].denominator for level in range(1, big_m + 1)}
     q_one = q_ratios(spec, 1)[1]
     # Q(1) may be an int: Fraction keeps the quotient exact.

@@ -341,7 +341,7 @@ def _tables(spec, p: int, a: int, big_k: int, level: Optional[int] = None):
     if level is None:
         return q_ratios(spec, top), None
     # H as integer numerators over one denominator: sums over it stay unreduced.
-    return q_ratios(spec, top), common_denominator(harmonic_sums(((level, 1),), top))
+    return q_ratios(spec, top), common_denominator(harmonic_sums(level, top))
 
 
 def _phi(q, h, p: int, a: int, big_k: int) -> int | Fraction:

@@ -66,6 +66,12 @@ and the lemma read max v_p(Lm+u) from one interval per (s, L, m).  They
 cover the padic-scan benchmark's S grid at K, m <= 30 and its lemma24 grid
 at m <= 60, and the S grid of the non-integral-Q spec 3/1,1,1,1 at
 K, m <= 20, s <= 3 (exit 1, with a witness).
+
+The final two digests were captured while G was still Q(n) times a running
+harmonic weight, before it was read from F by differentiating Q's
+recurrence over the jumps of D.  They cover the Fraction path of that
+recurrence (the non-Landau 2,2/3,1) and the largest Zhou spec at the
+batch's order 20.
 """
 
 import contextlib
@@ -269,6 +275,8 @@ GOLDEN = (
     ("padic --spec 12/4,3,3,2 --what s --p 2 --p 3 --p 5 --k-max 30 --s-max 3 --m-max 30", 0, "0c279f7f03c2ab92ee8a463440456dbd38152311e7028d41706beaa3c0643142"),
     ("padic --spec 12/4,3,3,2 --what lemma24 --p 2 --p 3 --p 5 --m-max 60", 0, "fca82d89e3f021f99a9d11706e8ac0bf51ec90af2f2b6e658f212f3b72022a89"),
     ("padic --spec 3/1,1,1,1 --what s --p 2 --p 3 --p 5 --k-max 20 --s-max 3 --m-max 20", 1, "a60df04a2a9584db193128c17d557bfa11ac4d74af2c22f16fd2042d744ea587"),
+    ("series --spec 2,2/3,1 --target G --order 20", 0, "864193fd0f1b3f2decfb434ade3c0fbff4149691dd23b4de81317d84d2a9bea9"),
+    ("series --spec 1806/903,602,258,42,1 --target G --order 20", 0, "e62fecdd0043964d329009f1204967344638cfa364202f4ab6ed225ca1351214"),
 )
 
 

@@ -1,7 +1,8 @@
 """The step-by-step sequences against the random-access primitives.
 
-q_ratios is checked against q_ratio, harmonic_sums and harmonic_block against
-harmonic (itself against a plain sum of unit fractions), and
+q_ratios is checked against q_ratio, log_companion against q_ratio times the
+harmonic weight, harmonic_sums and harmonic_block against harmonic (itself
+against a plain sum of unit fractions), and
 profile and classify against oracles that value every candidate breakpoint
 i/c as a Fraction with delta_at.
 """
@@ -19,6 +20,7 @@ from mirrorint.landau import (
     harmonic,
     harmonic_block,
     harmonic_sums,
+    log_companion,
     profile,
     q_ratio,
     q_ratios,
@@ -45,6 +47,8 @@ specs = st.one_of(
 @example(spec=Z1806, order=8)
 @example(spec=UNBALANCED, order=12)
 @example(spec=NON_LANDAU, order=12)
+# L = 765765 is far above the entry sums: the jump table is sparse in 1..L.
+@example(spec=FactorialRatioSpec((7, 11, 13), (5, 9, 17)), order=6)
 def test_q_ratios_match_q_ratio(spec, order):
     values = q_ratios(spec, order)
     assert len(values) == order + 1
@@ -54,20 +58,32 @@ def test_q_ratios_match_q_ratio(spec, order):
         assert isinstance(value, int) == (expected.denominator == 1)
 
 
-terms = st.lists(
-    st.tuples(st.integers(1, 40), st.integers(-40, 40)), max_size=4
-).map(tuple)
-
-
-@given(terms=terms, order=st.integers(0, 12))
+@given(spec=specs, order=st.integers(0, 8))
 @settings(max_examples=60, deadline=None)
-@example(terms=tuple((c, c) for c in Z1806.e) + tuple((c, -c) for c in Z1806.f), order=6)
-@example(terms=((1, 1),), order=40)
-def test_harmonic_sums_match_harmonic(terms, order):
-    values = harmonic_sums(terms, order)
+@example(spec=Z1806, order=8)
+@example(spec=UNBALANCED, order=12)
+@example(spec=NON_LANDAU, order=12)
+def test_log_companion_matches_harmonic_weight(spec, order):
+    values = log_companion(spec, q_ratios(spec, order))
     assert len(values) == order + 1
     for n, value in enumerate(values):
-        assert value == sum(w * harmonic(c * n) for c, w in terms)
+        weight = sum(e * harmonic(e * n) for e in spec.e) - sum(
+            f * harmonic(f * n) for f in spec.f
+        )
+        expected = q_ratio(spec, n) * weight
+        assert value == expected
+        assert isinstance(value, int) == (expected.denominator == 1)
+
+
+@given(level=st.integers(1, 40), order=st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+@example(level=1, order=40)
+@example(level=1806, order=3)
+def test_harmonic_sums_match_harmonic(level, order):
+    values = harmonic_sums(level, order)
+    assert len(values) == order + 1
+    for n, value in enumerate(values):
+        assert value == harmonic(level * n)
 
 
 @given(bounds=st.lists(st.integers(0, 400), min_size=2, max_size=2).map(sorted))
