@@ -4,11 +4,12 @@ Everything in this module is a pure function of a pair of positive integer
 tuples (e, f): the ratio Q(n) = prod (e_i n)! / prod (f_j n)!, the step
 function D(x) = sum floor(e_i x) - sum floor(f_j x), its piecewise-constant
 profile on [0, 1), and the derived integers M, D_L used as root exponents.
-D is enumerated one way only, by its jump table over the ticks s/L (L the
-lcm of the entries).  The same table steps Q(n) from Q(n-1), and its
-derivative in n steps the log-companion G_n = Q(n) (sum e_i H_{e_i n} -
-sum f_j H_{f_j n}).  All arithmetic is exact (int / Fraction); nothing
-here touches floats.
+D is enumerated once per spec object, by its jump table over the ticks s/L
+(L the lcm of the entries), which classify, profile, q_ratios and
+log_companion share.  The table steps Q(n) from Q(n-1), and its derivative
+in n steps G_n = Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}).  One binary
+split, _product, gives a product of shifted factors and its derivative; a
+harmonic block is their ratio.  All arithmetic is exact (int / Fraction).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
@@ -76,6 +78,29 @@ class FactorialRatioSpec:
         """No entry occurs in both e and f (multiset intersection empty)."""
         return not (Counter(self.e) & Counter(self.f))
 
+    @cached_property
+    def jump_table(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """The jumps of D: (L, ticks, eps) for the 0 < s <= L where an entry jumps.
+
+        L is the lcm of the entries.  floor(c x) jumps by 1 at x = s/L exactly
+        when L/c divides s, so eps_s counts the e-entries jumping at s/L minus
+        the f-entries; eps_L = |e| - |f|.  A tick where jumps cancel stays,
+        with eps_s = 0.  ticks is sorted and eps[i] is the jump at ticks[i].
+        """
+        lcm = math.lcm(*self.e, *self.f)
+        jumps: dict[int, int] = {}
+        for entries, sign in ((self.e, 1), (self.f, -1)):
+            for c in entries:
+                step = lcm // c
+                for s in range(step, lcm + 1, step):
+                    jumps[s] = jumps.get(s, 0) + sign
+        ticks = tuple(sorted(jumps))
+        return lcm, ticks, tuple(jumps[s] for s in ticks)
+
+    def __getstate__(self):
+        # The cached jump table derives from e and f: pickle the fields only.
+        return {"e": self.e, "f": self.f}
+
     def __str__(self) -> str:
         return ",".join(map(str, self.e)) + "/" + ",".join(map(str, self.f))
 
@@ -108,25 +133,6 @@ def q_ratio(spec: FactorialRatioSpec, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _jump_table(spec: FactorialRatioSpec) -> tuple[int, list[int], list[int]]:
-    """The jumps of D: (L, ticks, eps) for the 0 < s <= L where an entry jumps.
-
-    L is the lcm of the entries.  floor(c x) jumps by 1 at x = s/L exactly when
-    L/c divides s, so eps_s counts the e-entries jumping at s/L minus the
-    f-entries; eps_L = |e| - |f|.  A tick where jumps cancel stays, with
-    eps_s = 0.  ticks is sorted and eps[i] is the jump at ticks[i].
-    """
-    lcm = math.lcm(*spec.e, *spec.f)
-    jumps: dict[int, int] = {}
-    for entries, sign in ((spec.e, 1), (spec.f, -1)):
-        for c in entries:
-            step = lcm // c
-            for s in range(step, lcm + 1, step):
-                jumps[s] = jumps.get(s, 0) + sign
-    ticks = sorted(jumps)
-    return lcm, ticks, [jumps[s] for s in ticks]
-
-
 def _recurrence(spec: FactorialRatioSpec) -> tuple[int, Fraction, list[int], list[int]]:
     """(L, C, up, down) with Q(n) = Q(n-1) C prod_s (L(n-1) + s)^eps_s.
 
@@ -135,7 +141,7 @@ def _recurrence(spec: FactorialRatioSpec) -> tuple[int, Fraction, list[int], lis
     and an f-block cancels in eps_s before anything is multiplied.  up lists
     each s with eps_s > 0 eps_s times, down each s with eps_s < 0 -eps_s times.
     """
-    lcm, ticks, eps = _jump_table(spec)
+    lcm, ticks, eps = spec.jump_table
     c = Fraction(
         math.prod((lcm // f) ** f for f in spec.f),
         math.prod((lcm // e) ** e for e in spec.e),
@@ -145,7 +151,7 @@ def _recurrence(spec: FactorialRatioSpec) -> tuple[int, Fraction, list[int], lis
     return lcm, c, up, down
 
 
-def _product(base: int, factors: list[int], lo: int, hi: int) -> tuple[int, int]:
+def _product(base: int, factors: Sequence[int], lo: int, hi: int) -> tuple[int, int]:
     """(P, P') for P = prod (base + s) over factors[lo:hi], P' = P sum 1/(base + s).
 
     P' is the derivative of P in base; both come from one binary split.
@@ -237,9 +243,9 @@ def _ticks(spec: FactorialRatioSpec) -> tuple[int, list[int], list[int], list[in
     and D steps by eps_s at s.  Returns (L, ticks, values, jumps), where
     jumps[i] is eps at ticks[i] and the jump at 0 is eps_L, the one at 1.
     """
-    lcm, ticks, eps = _jump_table(spec)
-    jumps = eps[-1:] + eps[:-1]
-    return lcm, [0] + ticks[:-1], list(accumulate(eps[:-1], initial=0)), jumps
+    lcm, ticks, eps = spec.jump_table
+    jumps = [*eps[-1:], *eps[:-1]]
+    return lcm, [0, *ticks[:-1]], list(accumulate(eps[:-1], initial=0)), jumps
 
 
 def profile(spec: FactorialRatioSpec) -> LandauProfile:
@@ -290,7 +296,7 @@ def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0.
 
     Summed term by term over the running lcm(1..k), the reference for the
-    binary splitting in harmonic_block and harmonic_sums.
+    binary split (_product) behind harmonic_block and harmonic_sums.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -301,38 +307,27 @@ def harmonic(n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _reciprocal_block(a: int, b: int) -> tuple[int, int]:
-    """sum_{a < j <= b} 1/j as an unreduced (numerator, b!/a!), by binary splitting."""
-    if b - a <= 16:
-        # Short runs are cheaper term by term than split further.
-        p, q = 0, 1
-        for j in range(a + 1, b + 1):
-            p, q = p * j + q, q * j
-        return p, q
-    mid = (a + b) // 2
-    p1, q1 = _reciprocal_block(a, mid)
-    p2, q2 = _reciprocal_block(mid, b)
-    return p1 * q2 + p2 * q1, q1 * q2
-
-
 def harmonic_block(a: int, b: int) -> Fraction:
-    """H_b - H_a = sum_{a < j <= b} 1/j for 0 <= a <= b, by binary splitting."""
+    """H_b - H_a = P'/P for 0 <= a <= b, with P = (a + 1) ... b from _product."""
     if not 0 <= a <= b:
         raise ValueError("harmonic_block needs 0 <= a <= b")
-    return Fraction(*_reciprocal_block(a, b))
+    p, d = _product(a, range(1, b - a + 1), 0, b - a)
+    return Fraction(d, p)
 
 
 def harmonic_sums(level: int, order: int) -> list[Fraction]:
     """H_{L n} for n = 0, ..., order, with L = level.
 
-    Step n adds the block sum_{L(n-1) < j <= Ln} 1/j, summed by binary
-    splitting (Haible-Papanikolaou) and added to the running total once.
+    Step n adds the block H_{Ln} - H_{L(n-1)} = P'/P to the running total,
+    with P = prod_{s <= L} (L(n-1) + s) from _product (Haible-Papanikolaou).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    steps = range(1, level + 1)
     total = Fraction(0)
     out = [total]
     for n in range(1, order + 1):
-        total += Fraction(*_reciprocal_block(level * (n - 1), level * n))
+        p, d = _product(level * (n - 1), steps, 0, level)
+        total += Fraction(d, p)
         out.append(total)
     return out

@@ -109,7 +109,15 @@ def primes_up_to(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if is_prime(n)]
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def vp_int(n: int, p: int) -> Valuation:
+    # Hot: no primality test, only the p < 2 that would loop forever.
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
     if n == 0:
         return INFINITE
     v = 0
@@ -122,8 +130,7 @@ def vp_int(n: int, p: int) -> Valuation:
 
 def vp_rational(x: int | Fraction, p: int) -> Valuation:
     """v_p of an exact rational; +inf for 0."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if x == 0:
         return INFINITE
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
@@ -136,10 +143,11 @@ def vp_q_ratio_via_delta(spec: FactorialRatioSpec, n: int, p: int) -> int:
     formula for v_p(m!); Landau integrality is not needed.  Terms vanish
     once p^l exceeds n*M.
     """
+    _require_prime(p)
     if not spec.balanced:
         raise ValueError(f"spec {spec} is not balanced (|e| != |f|)")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n == 0:
         return 0
     total = 0
@@ -170,8 +178,7 @@ def dwork_quotient_test(f_series: TruncatedSeries, p: int) -> PadicMembershipRep
     By the Dieudonne-Dwork lemma this holds exactly when F itself lies in
     1 + z Z_p[[z]], so the test doubles as an indirect integrality check.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if f_series[0] != 1:
         raise ValueError("dwork_quotient_test requires constant term 1")
     quotient = f_series.substitute_power(p) * (f_series**p).reciprocal()
@@ -184,8 +191,7 @@ def dwork_exp_test(f_series: TruncatedSeries, p: int) -> PadicMembershipReport:
     Equivalent to exp(f) lying in 1 + z Z_p[[z]], for f with zero constant
     term; this is the reduction that removes the exponential from q_L.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if f_series[0] != 0:
         raise ValueError("dwork_exp_test requires a zero constant term")
     diff = f_series.substitute_power(p) - f_series.scale(p)
@@ -357,6 +363,7 @@ def phi(
     spec: FactorialRatioSpec, level: int, p: int, a: int, big_k: int
 ) -> Fraction:
     """The z^{a+Kp} coefficient of F(z) G_L(z^p) - p F(z^p) G_L(z)."""
+    _require_prime(p)
     q, h = _tables(spec, p, a, big_k, level)
     return Fraction(_phi(q, h, p, a, big_k), h[1])
 
@@ -385,8 +392,7 @@ def phi_membership_scan(
     one _harmonic_residues pass, g_n = w_n P(Ln) makes one _phi_residues
     product per level read p^E qd^2 phi(a, K) mod p^(E+D) at n = a + Kp.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     q = _scan_q(spec, p, a_max, k_max)
     levels = range(1, spec.max_entry + 1) if level is None else (level,)
     required = {lev: _required(spec, lev, p) for lev in levels}
@@ -431,11 +437,13 @@ def s_sum(
     spec: FactorialRatioSpec, a: int, big_k: int, s: int, p: int, m: int
 ) -> int | Fraction:
     """S(a,K,s,p,m): the block sum over j in [m p^s, (m+1) p^s)."""
+    _require_prime(p)
     return _s_sum(_tables(spec, p, a, big_k)[0], a, big_k, s, p, m)
 
 
 def mu_and_g(spec: FactorialRatioSpec, p: int, m: int) -> tuple[int, int]:
     """mu_p(m) = #{l >= 1 : {m/p^l} in [1/M, 1)} and g_p(m) = p^mu."""
+    _require_prime(p)
     big_m = spec.max_entry
     mu = 0
     pl = p
@@ -463,6 +471,7 @@ def w_term(
     m: int,
 ) -> Fraction:
     """W_L = (H_{L m p^s} - H_{L floor(m/p) p^{s+1}}) S(a,K,s,p,m)."""
+    _require_prime(p)
     return _w_term(_tables(spec, p, a, big_k)[0], level, a, big_k, s, p, m)
 
 
@@ -484,6 +493,7 @@ def dwork_decomposition_check(
     sum of W_L over s <= r and m < p^{r+1-s}, where r is the least integer
     with K < p^r.  Both sides are evaluated exactly.
     """
+    _require_prime(p)
     q, h = _tables(spec, p, a, big_k, level)
     r = 0
     while big_k >= p**r:
@@ -497,6 +507,7 @@ def dwork_decomposition_check(
 
 def lemma_ablanc_check(spec: FactorialRatioSpec, p: int, m: int) -> bool:
     """{m/p^l} >= 1/M for l in [v_p(m)+1, v_p(m)+beta], beta = floor(log_p M)."""
+    _require_prime(p)
     if m < 1:
         raise ValueError("m must be >= 1")
     big_m = spec.max_entry
@@ -512,6 +523,7 @@ def lemma24_check(p: int, s: int, a: int, big_m: int, m: int, level: int) -> boo
     u-range is vacuously true.  Every range starts at s, so one walk up to
     the largest v_p(Lm+u) covers them all.
     """
+    _require_prime(p)
     if s < 1:
         raise ValueError("s must be >= 1")
     if not 0 <= a < p**s:
@@ -560,6 +572,7 @@ def lemma24_scan(
     {(a + m p^s)/p^s} = a/p^s, and U = floor(La/p^s) >= 1 gives
     M a >= L a >= p^s.
     """
+    _require_prime(p)
     big_m = spec.max_entry
     if level is not None and not 1 <= level <= big_m:
         raise ValueError("level must satisfy 1 <= L <= M")
@@ -612,6 +625,7 @@ def lemma_harmonic_check(
     spec: FactorialRatioSpec, level: int, p: int, s: int, m: int
 ) -> PadicMembershipReport:
     """p^{s+1} g_p(m) (H_{L m p^s} - H_{L floor(m/p) p^{s+1}}) in p D_L Z_p."""
+    _require_prime(p)
     mu, _ = mu_and_g(spec, p, m)
     block = harmonic_block(level * (m // p) * p ** (s + 1), level * m * p**s)
     required = _required(spec, level, p)
@@ -632,8 +646,7 @@ def lemma_harmonic_scan(
     pass per s gives every block as P(b) - P(a) = p^E (H_b - H_a) mod
     p^(E+D); a zero difference is recomputed by harmonic_block.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     levels = range(1, spec.max_entry + 1) if level is None else (level,)
     required = {lev: _required(spec, lev, p) for lev in levels}
     mus = [mu_and_g(spec, p, m)[0] for m in range(m_max + 1)]
@@ -653,21 +666,24 @@ def lemma_harmonic_scan(
         )
         return s + 1 + mus[m] + block
 
-    reports = [
-        _harmonic_report(p, lev, s, m, required[lev], actual(lev, s, m))
+    points = [
+        ((lev, s, m), required[lev], actual(lev, s, m))
         for lev in levels
         for s in range(s_max + 1)
         for m in range(m_max + 1)
     ]
-    points = ((r.witness, r.required_valuation, r.actual_valuation) for r in reports)
+    failing = [
+        _harmonic_report(p, *key, req, act) for key, req, act in points if act < req
+    ]
     summary = _grid_report(p, f"harmonic lemma grid s<={s_max}, m<={m_max}", points)
-    return [r for r in reports if not r.member] + [replace(summary, witness=None)]
+    return failing + [replace(summary, witness=None)]
 
 
 def congruence25_check(
     spec: FactorialRatioSpec, level: int, p: int, a: int, j: int
 ) -> bool:
     """p H_{L(a+jp)} = H_{Lj} + sum_{i<=floor(La/p)} 1/(Lj+i)  (mod p Z_p)."""
+    _require_prime(p)
     if not 0 <= a < p:
         raise ValueError("a must satisfy 0 <= a < p")
     head_and_tail = harmonic_block(0, level * j + (level * a) // p)
@@ -679,6 +695,7 @@ def congruence_star_check(
     spec: FactorialRatioSpec, level: int, p: int, a: int, big_k: int
 ) -> bool:
     """phi + sum_j H_{Lj}(Q(a+jp)Q(K-j) - Q(j)Q(a+(K-j)p)) in p D_L Z_p."""
+    _require_prime(p)
     q, h = _tables(spec, p, a, big_k, level)
     residual = _phi(q, h, p, a, big_k) + _dwork_sum(q, h, p, a, big_k)
     required = _required(spec, level, p)
@@ -704,8 +721,7 @@ def s_membership_scan(
     A symmetric one (lo + hi - 1 = K) is +inf, since t_{K-j} = -t_j.  Any
     other zero residue is recomputed by _s_sum.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     q = _scan_q(spec, p, a_max, k_max)
     mus = [mu_and_g(spec, p, m)[0] for m in range(m_max + 1)]
     w, qd = common_denominator(q)

@@ -1,5 +1,7 @@
 import math
+import pickle
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,10 @@ from mirrorint.landau import (
     classify,
     delta_at,
     harmonic,
+    log_companion,
     profile,
     q_ratio,
+    q_ratios,
     root_bound_dl,
 )
 
@@ -146,6 +150,50 @@ class TestClassify:
     def test_trivial_vacuous(self):
         verdict = classify(TRIVIAL)
         assert verdict.landau_integral and verdict.case_i
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Every spec whose jump table gets built, one entry per build."""
+    builds = []
+    build = vars(FactorialRatioSpec)["jump_table"].func
+
+    def counting(spec):
+        builds.append(spec)
+        return build(spec)
+
+    table = cached_property(counting)
+    table.__set_name__(FactorialRatioSpec, "jump_table")
+    monkeypatch.setattr(FactorialRatioSpec, "jump_table", table)
+    return builds
+
+
+class TestJumpTable:
+    def test_one_spec_enumerates_d_once(self, table_builds):
+        spec = FactorialRatioSpec((1806,), (903, 602, 258, 42, 1))
+        classify(spec)
+        profile(spec)
+        log_companion(spec, q_ratios(spec, 3))
+        classify(spec)
+        assert table_builds == [spec]
+
+    def test_zhou_instance_enumerates_d_once(self, table_builds):
+        # classify, then q_ratios for F and log_companion for G.
+        verdict = zhou.verify_zhou(zhou.ZhouInstance((2, 3, 7, 42)), 4)
+        assert verdict.passed
+        assert table_builds == [FactorialRatioSpec((42,), (21, 14, 6, 1))]
+
+    def test_spec_stays_field_only(self):
+        spec = FactorialRatioSpec((30,), (15, 10, 6))
+        fresh = FactorialRatioSpec(spec.e, spec.f)
+        classify(spec)
+        assert "jump_table" in vars(spec) and "jump_table" not in vars(fresh)
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert repr(spec) == repr(fresh)
+        assert pickle.dumps(spec) == pickle.dumps(fresh)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and "jump_table" not in vars(clone)
+        assert clone.jump_table == spec.jump_table
 
 
 class TestRootBound:

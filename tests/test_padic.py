@@ -1,5 +1,9 @@
 import contextlib
+import inspect
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -34,6 +38,7 @@ from mirrorint.padic import (
     phi_membership_scan,
     s_membership_scan,
     s_sum,
+    vp_int,
     vp_q_ratio_via_delta,
     vp_rational,
     w_term,
@@ -131,6 +136,13 @@ class TestValuationViaDelta:
 
     def test_q_of_one(self):
         assert vp_q_ratio_via_delta(S6, 1, 5) == 1
+
+    def test_negative_n_rejected(self):
+        # Q is undefined at n < 0, as q_ratio says; the sum would read 0.
+        with pytest.raises(ValueError, match="nonnegative"):
+            q_ratio(S12, -3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            vp_q_ratio_via_delta(S12, -3, 2)
 
     @pytest.mark.parametrize("e,f", [((2,), (1,)), ((4,), (1, 1, 1)), ((3,), (1,) * 4)])
     def test_unbalanced_spec_rejected(self, e, f):
@@ -777,3 +789,85 @@ class TestCongruences:
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+# One valid call of every public padic entry point that takes a prime p,
+# with p left free.
+PRIME_CALLS = {
+    "vp_rational": "vp_rational(Fraction(1), p)",
+    "vp_q_ratio_via_delta": "vp_q_ratio_via_delta(S12, 3, p)",
+    "dwork_quotient_test": "dwork_quotient_test(TruncatedSeries((1, 2, 3)), p)",
+    "dwork_exp_test": "dwork_exp_test(TruncatedSeries((0, 2, 3)), p)",
+    "phi": "phi(S12, 1, p, 0, 2)",
+    "phi_membership_scan": "phi_membership_scan(S12, p, 2, 2)",
+    "s_sum": "s_sum(S12, 0, 2, 0, p, 0)",
+    "mu_and_g": "mu_and_g(S12, p, 3)",
+    "w_term": "w_term(S12, 1, 0, 2, 0, p, 1)",
+    "dwork_decomposition_check": "dwork_decomposition_check(S12, 1, 0, 2, p)",
+    "lemma_ablanc_check": "lemma_ablanc_check(S12, p, 3)",
+    "lemma24_check": "lemma24_check(p, 1, 0, 12, 3, 1)",
+    "lemma24_scan": "lemma24_scan(S12, p, 3)",
+    "lemma_harmonic_check": "lemma_harmonic_check(S12, 1, p, 0, 3)",
+    "lemma_harmonic_scan": "lemma_harmonic_scan(S12, p, 1, 3)",
+    "congruence25_check": "congruence25_check(S12, 1, p, 0, 2)",
+    "congruence_star_check": "congruence_star_check(S12, 1, p, 0, 2)",
+    "s_membership_scan": "s_membership_scan(S12, p, 2, 2, 1, 2)",
+}
+
+# Prints each call before running it, so a call that never returns is the
+# last line read before the timeout.
+NON_PRIME_CHILD = """
+import sys
+from fractions import Fraction
+from mirrorint.landau import FactorialRatioSpec
+from mirrorint.padic import *
+from mirrorint.series import TruncatedSeries
+S12 = FactorialRatioSpec((12,), (4, 3, 3, 2))
+p = int(sys.argv[1])
+for call in sys.argv[2:]:
+    print(call, end=": ", flush=True)
+    try:
+        result = eval(call)
+    except ValueError:
+        print("ValueError", flush=True)
+    else:
+        print("returned", repr(result), flush=True)
+"""
+
+
+def test_prime_calls_cover_every_entry_point_taking_p():
+    takes_p = {
+        name
+        for name in padic.__all__
+        if inspect.isfunction(getattr(padic, name))
+        and "p" in inspect.signature(getattr(padic, name)).parameters
+    }
+    # vp_int is hot and tests only p < 2, the one p whose loop never ends.
+    assert takes_p == set(PRIME_CALLS) | {"vp_int"}
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_entry_points_reject_composite(p):
+    # p = 1 used to loop forever in several entry points: a child process
+    # with a timeout turns a hang into a failure.
+    calls = [*PRIME_CALLS.values(), *(["vp_int(5, p)"] if p < 2 else [])]
+    src = os.path.dirname(os.path.dirname(padic.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", NON_PRIME_CHILD, str(p), *calls],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=30,
+        )
+    except subprocess.TimeoutExpired as exc:
+        pytest.fail(f"p = {p}: a call did not return; output so far: {exc.stdout!r}")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == [f"{call}: ValueError" for call in calls]
+
+
+def test_vp_int_tests_only_p_below_two():
+    # p = 1 runs in test_entry_points_reject_composite's child process.
+    assert vp_int(5, 4) == 0  # no primality test on the hot path
+    with pytest.raises(ValueError, match="not prime"):
+        vp_int(5, 0)

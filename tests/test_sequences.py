@@ -90,7 +90,9 @@ def test_harmonic_sums_match_harmonic(level, order):
 @settings(max_examples=50, deadline=None)
 @example(bounds=[0, 0])
 @example(bounds=[17, 17])
+@example(bounds=[400, 400])  # a = b: the empty product, P = 1 and P' = 0
 @example(bounds=[5, 23])  # one binary split: the block is longer than a leaf
+@example(bounds=[0, 400])  # splits down to leaves of at most 16 factors
 def test_harmonic_block_is_a_difference_of_harmonics(bounds):
     a, b = bounds
     assert harmonic_block(a, b) == harmonic(b) - harmonic(a)
