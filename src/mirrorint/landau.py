@@ -7,9 +7,13 @@ profile on [0, 1), and the derived integers M, D_L used as root exponents.
 D is enumerated once per spec object, by its jump table over the ticks s/L
 (L the lcm of the entries), which classify, profile, q_ratios and
 log_companion share.  The table steps Q(n) from Q(n-1), and its derivative
-in n steps G_n = Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}).  One binary
-split, _product, gives a product of shifted factors and its derivative; a
-harmonic block is their ratio.  All arithmetic is exact (int / Fraction).
+in n steps G_n = Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}).
+log_companion yields Q and G from one pass: it reduces each step's ratio
+a/d to a'/d' before the ratio touches Q or G, and it pairs the ticks s and
+L - s, whose jumps are equal (eps_s = eps_{L-s} for 0 < s < L, proved in
+its docstring).  One binary split, _product, gives a product of shifted
+factors and its derivative; a harmonic block is their ratio.  All
+arithmetic is exact (int / Fraction).
 """
 
 from __future__ import annotations
@@ -191,41 +195,100 @@ def q_ratios(spec: FactorialRatioSpec, order: int) -> list[int | Fraction]:
     return out
 
 
-def log_companion(spec: FactorialRatioSpec, q: Sequence) -> list[int | Fraction]:
-    """G_n = Q(n) S(n) for n < len(q), read from q = Q(0..N).
+def _paired_product(
+    base: int, lcm: int, pairs: list[int], rest: list[int]
+) -> tuple[int, int]:
+    """(P, P') for P = prod (base + s) over one sign's factors, split into pairs.
+
+    A pair term s (L - s) stands for (b + s)(b + L - s) = B + s (L - s) with
+    B = b (b + L), so the pairs are one _product in B, and d/db = (2b + L) d/dB.
+    rest holds the unpaired s = L/2 and s = L.
+    """
+    p, d = _product(base * (base + lcm), pairs, 0, len(pairs))
+    d *= 2 * base + lcm
+    for x in map(base.__add__, rest):
+        p, d = p * x, d * x + p
+    return p, d
+
+
+def _divide(x: int | Fraction, m: int) -> int | Fraction:
+    """x/m, an int when x is an int that m divides.
+
+    x is an int or a Fraction in lowest terms with denominator > 1, and then
+    so is x/m.
+    """
+    if isinstance(x, int):
+        quotient, remainder = divmod(x, m)
+        if remainder == 0:
+            return quotient
+    return Fraction(x, m)
+
+
+def _normal(x: int | Fraction) -> int | Fraction:
+    """x as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def log_companion(
+    spec: FactorialRatioSpec, order: int
+) -> tuple[list[int | Fraction], list[int | Fraction]]:
+    """(Q(0..N), G_0..G_N) with G_n = Q(n) S(n), from one pass over the jumps of D.
 
     The weight S(n) = sum e_i H_{e_i n} - sum f_j H_{f_j n} steps by
-    L sum_s eps_s / (L(n-1) + s), so differentiating Q's recurrence gives
-    P_- G_n = C P_+ G_{n-1} + L (C Q(n-1) P_+' - Q(n) P_-'), with P_+ and
-    P_- the products of its positive and negative factors and
-    P' = P sum 1/(L(n-1) + s) over the factors.  G is carried as its
-    numerator over its own small denominator, so a step makes one exact
-    division by P_-, and a full reduction only when G_n gains a denominator
-    that G_{n-1} lacks.
-    A value is an int when integral and a Fraction otherwise; a non-Landau q
-    takes the same path in Fractions.
+    L sum_s eps_s / (L(n-1) + s), so differentiating Q's recurrence steps G
+    too.  With P_+ and P_- the products of the positive and negative factors
+    of step n, P' = P sum 1/(L(n-1) + s) over them, a = C_num P_+ and
+    d = C_den P_-, the step ratio a/d is reduced first: r = gcd(a, d),
+    a' = a/r, d' = d/r.  Then
+
+        Q(n) = (Q(n-1)/d') a',
+        G_n = a' G_{n-1}/d' + L (Q(n-1)/d') K/d,
+        K = C_num d' P_+' - C_den a' P_-',
+
+    with K/d reduced before it meets G, so every division of a Q- or G-sized
+    number is by d' or by the denominator of K/d, not by P_-; the two gcds
+    are of P-sized numbers only.  At 1806/903,602,258,42,1, n = 20, d' has
+    1564 bits against 7613 for P_-.
+
+    Lemma (paired ticks): eps_s = eps_{L-s} for 0 < s < L.  Proof: floor(c x)
+    jumps at x = s/L exactly when s = iL/c for an integer i, and for
+    0 < s < L that holds with 0 < i < c exactly when L - s = (c - i)L/c does.
+    Summing over the entries, eps_s = eps_{L-s}.  So each sign's factors
+    (b + s)(b + L - s), b = L(n-1), pair up into one _product over half as
+    many terms (_paired_product); only s = L/2 and s = L stand alone.
+
+    Q(n) is an int when integral and a Fraction otherwise, as in q_ratios;
+    so is G_n.  A non-Landau spec takes the same path in Fractions.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     lcm, c, up, down = _recurrence(spec)
-    g = 0
-    out = [g]
-    for n in range(1, len(q)):
-        base = lcm * (n - 1)
-        up_n, up_d = _product(base, up, 0, len(up))
-        down_n, down_d = _product(base, down, 0, len(down))
-        # num = scale P_- G_n, an integer whenever Q(n-1) and Q(n) are.
-        scale = c.denominator * g.denominator
-        num = c.numerator * up_n * g.numerator + lcm * g.denominator * (
-            c.numerator * q[n - 1] * up_d - c.denominator * q[n] * down_d
+    # By the lemma each s < L/2 stands for the pair (s, L - s).
+    up, down = (
+        (
+            [s * (lcm - s) for s in side if 2 * s < lcm],
+            [s for s in side if 2 * s in (lcm, 2 * lcm)],
         )
-        quotient, remainder = divmod(num, down_n)
-        if remainder == 0:
-            g = Fraction(quotient, scale)
-        else:
-            g = Fraction(num, scale * down_n)
-        if g.denominator == 1:
-            g = g.numerator
-        out.append(g)
-    return out
+        for side in (up, down)
+    )
+    q, g = 1, 0
+    qs, gs = [q], [g]
+    for n in range(1, order + 1):
+        base = lcm * (n - 1)
+        up_n, up_d = _paired_product(base, lcm, *up)
+        down_n, down_d = _paired_product(base, lcm, *down)
+        a, d = c.numerator * up_n, c.denominator * down_n
+        r = math.gcd(a, d)
+        a, d_red = a // r, d // r
+        k_num = c.numerator * d_red * up_d - c.denominator * a * down_d
+        h = math.gcd(k_num, d)
+        k_num, k_den = k_num // h, d // h
+        t = _divide(q, d_red)  # Q(n-1)/d'
+        q = _normal(t * a)
+        g = _normal(a * _divide(g, d_red) + lcm * k_num * _divide(t, k_den))
+        qs.append(q)
+        gs.append(g)
+    return qs, gs
 
 
 def delta_at(spec: FactorialRatioSpec, x: Fraction) -> int:
@@ -321,6 +384,8 @@ def harmonic_sums(level: int, order: int) -> list[Fraction]:
     Step n adds the block H_{Ln} - H_{L(n-1)} = P'/P to the running total,
     with P = prod_{s <= L} (L(n-1) + s) from _product (Haible-Papanikolaou).
     """
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
     if order < 0:
         raise ValueError("order must be nonnegative")
     steps = range(1, level + 1)

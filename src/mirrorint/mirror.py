@@ -1,10 +1,11 @@
 """Canonical q-coordinates and their root-exponent verifiers.
 
-From a balanced spec we build the hypergeometric-style series F.  The
+From a balanced spec we build the hypergeometric-style series F, the
 harmonic-weighted companions G and G_L, the reduced canonical coordinate
 exp(G/F) (that is, q with the leading z divided out) and the level maps
-q_L = exp(G_L/F) are computed only when a caller asks for one of them,
-one level at a time.  On top of those sit the verifiers: the per
+q_L = exp(G_L/F), each only when a caller asks for it, one level at a
+time.  F and G come from one pass of landau.log_companion, F alone from
+landau.q_ratios.  On top of those sit the verifiers: the per
 level root exponents D_L, the gcd divisibility test that transfers roots of
 the q_L to roots of q, the reference exponents from the harmonic-number
 literature, and a witness search for the almost-all-primes failure in the
@@ -69,10 +70,20 @@ class CaseTwoError(ValueError):
 
 @dataclass(frozen=True)
 class MirrorMapBundle:
-    """F up to F.order; G, G_L and their roots are computed per call, never kept."""
+    """F up to order, built on first use; G, G_L and their roots, per call.
+
+    F is a per-object cached_property.  g(None) takes Q and G from one
+    landau.log_companion pass and keeps that Q as F when F is not built
+    yet, so a caller that asks for G before F, or for F alone, forms Q
+    once.  F read first comes from q_ratios, which builds no G.
+    """
 
     spec: FactorialRatioSpec
-    F: TruncatedSeries
+    order: int
+
+    @cached_property
+    def F(self) -> TruncatedSeries:
+        return TruncatedSeries(tuple(q_ratios(self.spec, self.order)))
 
     @cached_property
     def F_integral(self) -> bool:
@@ -82,16 +93,19 @@ class MirrorMapBundle:
     def g(self, level: Optional[int] = None) -> TruncatedSeries:
         """G for level=None, else G_L for a level L in [1, M].
 
-        Coefficient n is Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}), read from
-        F by landau.log_companion, or Q(n) H_{L n}.
+        Coefficient n is Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}), from
+        the pass of landau.log_companion, or Q(n) H_{L n} from F.
         """
         spec = self.spec
         if level is None:
-            return TruncatedSeries(tuple(log_companion(spec, self.F.coeffs)))
+            q, g = log_companion(spec, self.order)
+            # The cached_property's slot: F from this pass unless F came first.
+            vars(self).setdefault("F", TruncatedSeries(tuple(q)))
+            return TruncatedSeries(tuple(g))
         if not 1 <= level <= spec.max_entry:
             raise ValueError(f"level {level} outside [1, {spec.max_entry}]")
         return TruncatedSeries(
-            tuple(map(mul, self.F.coeffs, harmonic_sums(level, self.F.order)))
+            tuple(map(mul, self.F.coeffs, harmonic_sums(level, self.order)))
         )
 
     def root_coeffs(self, level: Optional[int] = None, v: int = 1) -> Iterator:
@@ -109,18 +123,18 @@ class MirrorMapBundle:
         to the first bad coefficient, which the report carries exactly.
         """
         g, f = self.g(level).coeffs, self.F.coeffs
-        if self.F_integral and dwork_root_index(g, f, v, self.F.order) is None:
-            return IntegralityReport(integral=True, order_checked=self.F.order)
-        return integrality_report(exp_quotient_root(g, f, v), self.F.order)
+        if self.F_integral and dwork_root_index(g, f, v, self.order) is None:
+            return IntegralityReport(integral=True, order_checked=self.order)
+        return integrality_report(exp_quotient_root(g, f, v), self.order)
 
 
 def build_bundle(spec: FactorialRatioSpec, order: int) -> MirrorMapBundle:
-    """F, exact to the given order; G, G_L and the roots come from its methods."""
+    """F, G, G_L and the roots to the given order, each built on first use."""
     if not spec.balanced:
         raise ValueError(f"spec {spec} is not balanced (|e| != |f|)")
     if order < 1:
         raise ValueError("order must be >= 1")
-    return MirrorMapBundle(spec, TruncatedSeries(tuple(q_ratios(spec, order))))
+    return MirrorMapBundle(spec, order)
 
 
 def verify_theorem1(

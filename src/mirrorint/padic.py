@@ -114,6 +114,18 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def _require_level(spec: FactorialRatioSpec, level: int) -> None:
+    if not 1 <= level <= spec.max_entry:
+        raise ValueError(f"level must be in [1, {spec.max_entry}], got {level}")
+
+
+def _require_indices(**indices: int) -> None:
+    """Grid indices of a public single-point call must be >= 0."""
+    for name, value in indices.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def vp_int(n: int, p: int) -> Valuation:
     # Hot: no primality test, only the p < 2 that would loop forever.
     if p < 2:
@@ -363,6 +375,7 @@ def phi(
     spec: FactorialRatioSpec, level: int, p: int, a: int, big_k: int
 ) -> Fraction:
     """The z^{a+Kp} coefficient of F(z) G_L(z^p) - p F(z^p) G_L(z)."""
+    _require_level(spec, level)
     _require_prime(p)
     q, h = _tables(spec, p, a, big_k, level)
     return Fraction(_phi(q, h, p, a, big_k), h[1])
@@ -438,19 +451,25 @@ def s_sum(
 ) -> int | Fraction:
     """S(a,K,s,p,m): the block sum over j in [m p^s, (m+1) p^s)."""
     _require_prime(p)
+    _require_indices(s=s, m=m)
     return _s_sum(_tables(spec, p, a, big_k)[0], a, big_k, s, p, m)
 
 
-def mu_and_g(spec: FactorialRatioSpec, p: int, m: int) -> tuple[int, int]:
-    """mu_p(m) = #{l >= 1 : {m/p^l} in [1/M, 1)} and g_p(m) = p^mu."""
-    _require_prime(p)
-    big_m = spec.max_entry
+def _mu(p: int, big_m: int, m: int) -> int:
     mu = 0
     pl = p
     while pl <= m * big_m:
         if not _frac_below(m, pl, big_m):
             mu += 1
         pl *= p
+    return mu
+
+
+def mu_and_g(spec: FactorialRatioSpec, p: int, m: int) -> tuple[int, int]:
+    """mu_p(m) = #{l >= 1 : {m/p^l} in [1/M, 1)} and g_p(m) = p^mu."""
+    _require_prime(p)
+    _require_indices(m=m)
+    mu = _mu(p, spec.max_entry, m)
     return mu, p**mu
 
 
@@ -471,7 +490,9 @@ def w_term(
     m: int,
 ) -> Fraction:
     """W_L = (H_{L m p^s} - H_{L floor(m/p) p^{s+1}}) S(a,K,s,p,m)."""
+    _require_level(spec, level)
     _require_prime(p)
+    _require_indices(s=s, m=m)
     return _w_term(_tables(spec, p, a, big_k)[0], level, a, big_k, s, p, m)
 
 
@@ -493,6 +514,7 @@ def dwork_decomposition_check(
     sum of W_L over s <= r and m < p^{r+1-s}, where r is the least integer
     with K < p^r.  Both sides are evaluated exactly.
     """
+    _require_level(spec, level)
     _require_prime(p)
     q, h = _tables(spec, p, a, big_k, level)
     r = 0
@@ -626,6 +648,7 @@ def lemma_harmonic_check(
 ) -> PadicMembershipReport:
     """p^{s+1} g_p(m) (H_{L m p^s} - H_{L floor(m/p) p^{s+1}}) in p D_L Z_p."""
     _require_prime(p)
+    _require_indices(s=s, m=m)
     mu, _ = mu_and_g(spec, p, m)
     block = harmonic_block(level * (m // p) * p ** (s + 1), level * m * p**s)
     required = _required(spec, level, p)
@@ -649,7 +672,7 @@ def lemma_harmonic_scan(
     _require_prime(p)
     levels = range(1, spec.max_entry + 1) if level is None else (level,)
     required = {lev: _required(spec, lev, p) for lev in levels}
-    mus = [mu_and_g(spec, p, m)[0] for m in range(m_max + 1)]
+    mus = [_mu(p, spec.max_entry, m) for m in range(m_max + 1)]
     tables = [
         _harmonic_residues(p, max(levels) * m_max * p**s, p**s)
         for s in range(s_max + 1)
@@ -683,6 +706,7 @@ def congruence25_check(
     spec: FactorialRatioSpec, level: int, p: int, a: int, j: int
 ) -> bool:
     """p H_{L(a+jp)} = H_{Lj} + sum_{i<=floor(La/p)} 1/(Lj+i)  (mod p Z_p)."""
+    _require_level(spec, level)
     _require_prime(p)
     if not 0 <= a < p:
         raise ValueError("a must satisfy 0 <= a < p")
@@ -723,7 +747,7 @@ def s_membership_scan(
     """
     _require_prime(p)
     q = _scan_q(spec, p, a_max, k_max)
-    mus = [mu_and_g(spec, p, m)[0] for m in range(m_max + 1)]
+    mus = [_mu(p, spec.max_entry, m) for m in range(m_max + 1)]
     w, qd = common_denominator(q)
     shift = 2 * int(vp_int(qd, p))
     mod = p ** (shift + _RESIDUE_DIGITS)

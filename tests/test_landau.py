@@ -173,12 +173,13 @@ class TestJumpTable:
         spec = FactorialRatioSpec((1806,), (903, 602, 258, 42, 1))
         classify(spec)
         profile(spec)
-        log_companion(spec, q_ratios(spec, 3))
+        q_ratios(spec, 3)
+        log_companion(spec, 3)
         classify(spec)
         assert table_builds == [spec]
 
     def test_zhou_instance_enumerates_d_once(self, table_builds):
-        # classify, then q_ratios for F and log_companion for G.
+        # classify, then one log_companion pass for F and G.
         verdict = zhou.verify_zhou(zhou.ZhouInstance((2, 3, 7, 42)), 4)
         assert verdict.passed
         assert table_builds == [FactorialRatioSpec((42,), (21, 14, 6, 1))]
@@ -211,6 +212,13 @@ class TestRootBound:
             root_bound_dl(S6, 7)
         with pytest.raises(ValueError):
             root_bound_dl(S6, 0)
+
+
+@pytest.mark.parametrize("level", [-2, 0])
+def test_harmonic_sums_reject_levels_below_one(level):
+    # H_{Ln} for a level below 1 is no harmonic number the package uses.
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        landau.harmonic_sums(level, 3)
 
 
 def test_harmonic_values():

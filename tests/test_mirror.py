@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mirrorint import landau, mirror, zhou
 from mirrorint.landau import FactorialRatioSpec, harmonic, q_ratio, root_bound_dl
 from mirrorint.mirror import (
     CaseTwoError,
@@ -193,6 +194,49 @@ class TestReferenceExponents:
         v = int(ref.xi_exponent)
         bundle = build_bundle(spec, 30)
         assert _root(bundle, 5).vth_root(v).integrality().integral
+
+
+@pytest.fixture
+def q_builds(monkeypatch):
+    """The name of every landau call that forms Q for the bundle, in call order."""
+    calls = []
+    for name in ("q_ratios", "log_companion"):
+        def spy(spec, order, name=name, real=getattr(landau, name)):
+            calls.append(name)
+            return real(spec, order)
+
+        monkeypatch.setattr(mirror, name, spy)
+    return calls
+
+
+class TestOnePass:
+    def test_g_then_f_forms_q_once(self, q_builds):
+        bundle = build_bundle(S6, 12)
+        g = bundle.g()
+        assert bundle.F.coeffs == tuple(q_ratio(S6, n) for n in range(13))
+        weight = 6 * harmonic(6) - 3 * harmonic(3) - 2 * harmonic(2) - harmonic(1)
+        assert g.coeffs[1] == q_ratio(S6, 1) * weight
+        assert q_builds == ["log_companion"]
+
+    def test_f_alone_builds_no_g(self, q_builds):
+        build_bundle(S6, 12).F
+        assert q_builds == ["q_ratios"]
+
+    def test_verify_zhou_runs_one_pass(self, q_builds):
+        assert zhou.verify_zhou(zhou.ZhouInstance((2, 3, 7, 42)), 20).passed
+        assert q_builds == ["log_companion"]
+
+    def test_root_of_a_level_runs_no_pass(self, q_builds):
+        bundle = build_bundle(S6, 40)
+        assert bundle.root_integrality(2, root_bound_dl(S6, 2)).integral
+        assert bundle.root_integrality(3, root_bound_dl(S6, 3)).integral
+        assert q_builds == ["q_ratios"]
+
+    def test_witness_scan_forms_q_once(self, q_builds):
+        # q first, then the levels: the pass for G gives the F they read.
+        witness = nonintegrality_witness(FactorialRatioSpec((6,), (1, 1, 4)), 200, 30)
+        assert witness == NonintegralityWitness(2, "qL=4", 1, -1)
+        assert q_builds == ["log_companion"]
 
 
 class TestNonintegralityWitness:

@@ -871,3 +871,38 @@ def test_vp_int_tests_only_p_below_two():
     assert vp_int(5, 4) == 0  # no primality test on the hot path
     with pytest.raises(ValueError, match="not prime"):
         vp_int(5, 0)
+
+
+# M = 12 for S12: levels 0 and M + 1 are outside [1, M].
+LEVEL_CALLS = {
+    "phi": lambda level: phi(S12, level, 2, 0, 2),
+    "w_term": lambda level: w_term(S12, level, 0, 2, 0, 2, 1),
+    "dwork_decomposition_check": lambda level: dwork_decomposition_check(
+        S12, level, 0, 2, 2
+    ),
+    "congruence25_check": lambda level: congruence25_check(S12, level, 2, 0, 2),
+}
+
+
+@pytest.mark.parametrize("level", [0, 13])
+@pytest.mark.parametrize("name", list(LEVEL_CALLS))
+def test_entry_points_reject_levels_outside_one_to_m(name, level):
+    with pytest.raises(ValueError, match=r"level must be in \[1, 12\]"):
+        LEVEL_CALLS[name](level)
+
+
+# A negative index must stop at the entry point: past it, p**s is a float,
+# w_term indexes its table out of range, and Q is read at a negative index.
+NEGATIVE_INDEX_CALLS = {
+    "s_sum s=-1": lambda: s_sum(S12, 0, 2, -1, 2, 0),
+    "s_sum m=-1": lambda: s_sum(S12, 0, 2, 0, 2, -1),
+    "lemma_harmonic_check s=-1": lambda: lemma_harmonic_check(S12, 1, 2, -1, 3),
+    "w_term m=-1": lambda: w_term(S12, 1, 0, 2, 0, 2, -1),
+    "mu_and_g m=-3": lambda: mu_and_g(S12, 2, -3),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_INDEX_CALLS))
+def test_entry_points_reject_negative_indices(name):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        NEGATIVE_INDEX_CALLS[name]()

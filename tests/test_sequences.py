@@ -1,10 +1,11 @@
 """The step-by-step sequences against the random-access primitives.
 
 q_ratios is checked against q_ratio, log_companion against q_ratio times the
-harmonic weight, harmonic_sums and harmonic_block against harmonic (itself
-against a plain sum of unit fractions), and
-profile and classify against oracles that value every candidate breakpoint
-i/c as a Fraction with delta_at.
+harmonic weight (and its Q against q_ratios), the symmetry of D's jumps that
+log_companion pairs its factors by against delta_at, harmonic_sums and
+harmonic_block against harmonic (itself against a plain sum of unit
+fractions), and profile and classify against oracles that value every
+candidate breakpoint i/c as a Fraction with delta_at.
 """
 
 from fractions import Fraction
@@ -64,7 +65,11 @@ def test_q_ratios_match_q_ratio(spec, order):
 @example(spec=UNBALANCED, order=12)
 @example(spec=NON_LANDAU, order=12)
 def test_log_companion_matches_harmonic_weight(spec, order):
-    values = log_companion(spec, q_ratios(spec, order))
+    q, values = log_companion(spec, order)
+    # The pass's Q is q_ratios', value for value and type for type.
+    expected_q = q_ratios(spec, order)
+    assert q == expected_q
+    assert [type(x) for x in q] == [type(x) for x in expected_q]
     assert len(values) == order + 1
     for n, value in enumerate(values):
         weight = sum(e * harmonic(e * n) for e in spec.e) - sum(
@@ -73,6 +78,23 @@ def test_log_companion_matches_harmonic_weight(spec, order):
         expected = q_ratio(spec, n) * weight
         assert value == expected
         assert isinstance(value, int) == (expected.denominator == 1)
+
+
+@given(spec=specs)
+@settings(max_examples=80, deadline=None)
+@example(spec=Z1806)
+@example(spec=UNBALANCED)
+@example(spec=NON_LANDAU)
+def test_jumps_are_symmetric(spec):
+    # The lemma behind log_companion's paired ticks: eps_s = eps_{L-s}, 0 < s < L.
+    lcm, ticks, eps = spec.jump_table
+    jumps = dict(zip(ticks, eps))
+    for s in range(1, lcm):
+        assert jumps.get(s, 0) == jumps.get(lcm - s, 0)
+    # Each eps_s against D itself: the step of D at s/L.
+    for s, w in jumps.items():
+        x = Fraction(s, lcm)
+        assert w == delta_at(spec, x) - delta_at(spec, x - Fraction(1, 2 * lcm))
 
 
 @given(level=st.integers(1, 40), order=st.integers(0, 12))
