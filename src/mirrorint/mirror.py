@@ -15,11 +15,13 @@ non-increasing case.
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import tee
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .landau import (
     Classification,
@@ -274,21 +276,23 @@ def nonintegrality_witness(
         # Nothing to find: case (i) makes every target integral.
         return None
 
-    # A root is built the first time the scan reaches its level.
+    # A root is started the first time the scan reaches its level, and its
+    # coefficients are drawn only as far as some scan has read: each scan
+    # reads a copy of the unread tee, which keeps what the copies drew.
     bundle = build_bundle(spec, order)
-    roots: dict[Optional[int], tuple] = {}
+    roots: dict[Optional[int], Iterator] = {}
     for p in primes_up_to(prime_bound):
         for level in (None, *range(1, spec.max_entry + 1)):
             if level not in roots:
-                roots[level] = tuple(bundle.root_coeffs(level))
-            hit = _first_negative_vp(roots[level], p)
+                (roots[level],) = tee(bundle.root_coeffs(level), 1)
+            hit = _first_negative_vp(copy(roots[level]), p)
             if hit:
                 target = "q" if level is None else f"qL={level}"
                 return NonintegralityWitness(p, target, hit[0], hit[1])
     return None
 
 
-def _first_negative_vp(coeffs: Sequence, p: int) -> Optional[tuple[int, int]]:
+def _first_negative_vp(coeffs: Iterable, p: int) -> Optional[tuple[int, int]]:
     for n, c in enumerate(coeffs):
         if c.denominator % p == 0:
             return n, vp_rational(c, p)

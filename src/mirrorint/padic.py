@@ -16,16 +16,22 @@ scan or public call.  The phi, harmonic-lemma and S scans read each value
 scaled by p^E as a residue mod p^(E+D), D = _RESIDUE_DIGITS: a nonzero
 residue carries the value's exact valuation, and a zero residue is
 recomputed exactly for that point alone, so every reported valuation is
-exact.  The S scan reads every block from one prefix-sum pass per (a, K)
-and takes no residue of a block that is exactly 0: an empty one is
-skipped, and one symmetric about K/2 is +inf.  The lemma-2.4 scan reads
-max_u v_p(Lm+u) from one interval per point instead of one valuation per
-u.  On 12/4,3,3,2 at p = 13, the S grid at K, m <= 150, s <= 3 went from
-24 s to 0.4-0.7 s and the lemma-2.4 grid at m <= 3000 from 21 s to
-2.2-2.6 s (in-process, shared x86-64 Linux VM).  The single-point phi,
-s_sum, lemma_harmonic_check and lemma24_check stay exact: phi reads
-H_{Ln} from a harmonic_sums table, and each difference H_b - H_a is one
-harmonic_block.
+exact.  Two kernels make the residues.  _phi_residues gives
+Phi = F(z) G(z^p) - p F(z^p) G(z) mod m from residues packed into slots
+wide enough for terms (1 + p) (m - 1)^2, terms = limit//p + 1, so no slot
+carries.  It works term by term in z^p up to 64 terms, and by residue
+class mod p above, with no zero slot in either form.  _harmonic_residues
+gets its unit inverses from one pow(., -1, mod) per block of 512 units.
+The phi scan reads phi(0, 0) = 0 as +inf with no residue.  The S scan
+reads every block from one prefix-sum pass per (a, K) and takes no residue
+of a block that is exactly 0: an empty one is skipped, and one symmetric
+about K/2 is +inf.  The lemma-2.4 scan reads max_u v_p(Lm+u) from one
+interval per point instead of one valuation per u.  On 12/4,3,3,2 at
+p = 13, the S grid at K, m <= 150, s <= 3 went from 24 s to 0.4-0.7 s and
+the lemma-2.4 grid at m <= 3000 from 21 s to 2.2-2.6 s (in-process, shared
+x86-64 Linux VM).  The single-point phi, s_sum, lemma_harmonic_check and
+lemma24_check stay exact: phi reads H_{Ln} from a harmonic_sums table, and
+each difference H_b - H_a is one harmonic_block.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .landau import (
     FactorialRatioSpec,
@@ -78,6 +84,13 @@ INFINITE = math.inf
 # p-adic digits the residue scans keep past p^E; a point whose scaled value
 # is 0 mod p^(E + _RESIDUE_DIGITS) is recomputed exactly.
 _RESIDUE_DIGITS = 40
+
+# _phi_residues multiplies term by term up to this many terms of a series
+# in z^p, and by residue class mod p above.
+_TERMWISE_TERMS = 64
+
+# Units sharing one modular inverse in _harmonic_residues.
+_INVERSE_BLOCK = 512
 
 Valuation = Union[int, float]
 
@@ -224,8 +237,11 @@ def dwork_root_index(g, f, v: int, order: int) -> Optional[int]:
     common_denominator, every prime above the order in den v must divide
     w_n as often, one divisibility test by that part of den v.  Each
     p <= order (p = order included: Phi_p = g_1 - p g_p) is one
-    _phi_residues call modulo p^{1+v_p(v)+T}, T = v_p(den), up to the
-    least failure found so far; its first nonzero n >= 1 fails.
+    _phi_residues call modulo m = p^{1+v_p(v)+T}, T = v_p(den), up to the
+    least failure found so far; its first nonzero n >= 1 fails.  That call
+    goes term by term in z^p while its limit//p + 1 terms are at most 64
+    (at order 200, every p but 2 and 3), and by residue class mod p above;
+    either way slots of terms (1 + p) (m - 1)^2 never carry.
     """
     if v < 1:
         raise ValueError("v must be a positive integer")
@@ -253,35 +269,82 @@ def dwork_root_index(g, f, v: int, order: int) -> Optional[int]:
         limit = order if first is None else first - 1
         if limit == 0:
             break
-        phi_mod = _phi_residues(f, w, p, m, limit)
+        (phi_mod,) = _phi_residues(f, [w], p, m, limit)
         first = next((n for n in range(1, limit + 1) if phi_mod[n]), first)
     return first
 
 
-def _phi_residues(f: list[int], w: list[int], p: int, m: int, limit: int) -> list[int]:
-    """Phi_n mod m for n <= limit, where Phi = f(z) w(z^p) - p f(z^p) w(z).
+def _phi_residues(
+    f: list[int], ws: Iterable[list[int]], p: int, m: int, limit: int
+) -> Iterator[list[int]]:
+    """Phi_n mod m for n <= limit, one list per w in ws, yielded in turn.
 
-    Both products are taken on residues in [0, m) packed into fixed-width
-    slots, -w held as m - w so every slot stays nonnegative; a slot sums at
-    most (limit//p + 1) (1 + p) products below m^2, so none carries.
+    Phi = f(z) w(z^p) - p f(z^p) w(z).  Residues in [0, m) are packed
+    into fixed-width slots, -w held as m - w so every slot stays
+    nonnegative, and f is reduced and packed once for all of ws.  No form
+    packs a zero slot between the terms of a series in z^p, of which there
+    are terms = limit//p + 1:
+
+    - Term by term, while terms <= _TERMWISE_TERMS.
+      Phi = sum_j z^{jp} (w_j f(z) - p f_j w(z)): two products of a packed
+      series by one residue per term.  Slots are packed high coefficient
+      first, so z^{jp} f(z) truncated at z^limit is f shifted right by jp
+      slots, and each term multiplies only the slots that survive.
+    - By residue class, above that.  The coefficients n = r + ip of one
+      class r < p are Phi_n = (f_r w_p)_i - p (f_p w_r)_i, where
+      f_r(y) = sum_i f_{r+ip} y^i and f_p(y) = sum_{j<terms} f_j y^j (w
+      alike): two dense products per class, subquadratic in their length.
+
+    In-process, the class form took 0.55-0.93 of the time of one product
+    per convolution with p - 1 zero slots between the terms in z^p, above
+    32 terms at p <= 7.  It overtook the term-by-term form near 40-50 terms
+    at every p <= 13 on dwork_root_index's small moduli, and near 64 (p = 2)
+    to 140 (p = 13) terms on the phi scan's moduli p^(E+D).
+
+    Either way a slot sums at most terms (1 + p) products below m^2, so
+    none carries into the next.
     """
     terms = limit // p + 1
     width = ((terms * (p + 1) * (m - 1) ** 2).bit_length() + 7) // 8
+    fr = [x % m for x in f[: limit + 1]]
 
-    def pack(xs, gap: int = 0) -> int:
-        """xs in slots gap + 1 apart: gap = p - 1 packs x(z^p)."""
-        data = bytes(gap * width).join(x.to_bytes(width, "little") for x in xs)
+    def pack(xs) -> int:
+        data = b"".join(x.to_bytes(width, "little") for x in xs)
         return int.from_bytes(data, "little")
 
-    fr = [x % m for x in f[: limit + 1]]
-    wr = [x % m for x in w[: limit + 1]]
-    phi = pack(fr) * pack(wr[:terms], p - 1)
-    phi += p * pack(fr[:terms], p - 1) * pack(-x % m for x in wr)
-    buf = phi.to_bytes(max((phi.bit_length() + 7) // 8, (limit + 1) * width), "little")
-    return [
-        int.from_bytes(buf[n * width : (n + 1) * width], "little") % m
-        for n in range(limit + 1)
-    ]
+    def unpack(phi: int, count: int) -> list[int]:
+        """The first count slots of phi, each reduced mod m."""
+        size = max((phi.bit_length() + 7) // 8, count * width)
+        buf = phi.to_bytes(size, "little")
+        return [
+            int.from_bytes(buf[n * width : (n + 1) * width], "little") % m
+            for n in range(count)
+        ]
+
+    if terms <= _TERMWISE_TERMS:
+        shift = 8 * width * p
+        f_high = pack(reversed(fr))
+        p_f = [p * x for x in fr[:terms]]
+        for w in ws:
+            w_neg = pack(-x % m for x in reversed(w[: limit + 1]))
+            phi, f_cut = 0, f_high
+            for j in range(terms):
+                phi += w[j] % m * f_cut + p_f[j] * w_neg
+                f_cut >>= shift
+                w_neg >>= shift
+            yield unpack(phi, limit + 1)[::-1]
+    else:
+        # terms > 64, so limit >= 64 p and every class r < p holds a coefficient.
+        p_f = p * pack(fr[:terms])
+        f_classes = [pack(fr[r::p]) for r in range(p)]
+        for w in ws:
+            w_p = pack(x % m for x in w[:terms])
+            w_neg = [-x % m for x in w[: limit + 1]]
+            phi = [0] * (limit + 1)
+            for r, f_r in enumerate(f_classes):
+                w_r = w_neg[r::p]
+                phi[r::p] = unpack(f_r * w_p + p_f * pack(w_r), len(w_r))
+            yield phi
 
 
 def _harmonic_residues(p: int, top: int, step: int) -> tuple[int, int, list[int]]:
@@ -289,20 +352,39 @@ def _harmonic_residues(p: int, top: int, step: int) -> tuple[int, int, list[int]
 
     E = floor(log_p top) makes p^E H_x p-integral for every x <= top: with
     j = p^v u and p not dividing u, the term p^E/j is p^(E-v) u^(-1) mod
-    p^(E+D).  Only every step-th prefix is kept, never the whole prefix.
+    p^(E+D).  The inverses come _INVERSE_BLOCK units at a time from one
+    pow(., -1, mod) of the block's product (Montgomery's trick: prefix
+    products forward, then one backward pass), so a block's prefixes are
+    all the memory it holds.  Only every step-th prefix is kept.
     """
     e = _floor_log(top, p)
     mod = p ** (e + _RESIDUE_DIGITS)
+    scales = [p**shift for shift in range(e + 1)]
+    end = top // step * step
     total, out = 0, [0]
-    for j in range(1, top // step * step + 1):
-        u, shift = j, e
-        while u % p == 0:
-            u //= p
-            shift -= 1
-        total += p**shift * pow(u, -1, mod)
-        if j % step == 0:
-            total %= mod
-            out.append(total)
+    for start in range(1, end + 1, _INVERSE_BLOCK):
+        units = list(range(start, min(start + _INVERSE_BLOCK, end + 1)))
+        weights = [scales[e]] * len(units)
+        for i in range(-start % p, len(units), p):
+            u, shift = units[i], e
+            while u % p == 0:
+                u //= p
+                shift -= 1
+            units[i], weights[i] = u, scales[shift]
+        # terms[i] = u_0 ... u_i until the backward pass makes it p^shift / u_i.
+        terms, prefix = [], 1
+        for u in units:
+            prefix = prefix * u % mod
+            terms.append(prefix)
+        inverse = pow(prefix, -1, mod)  # of u_0 ... u_i, walking i down
+        for i in range(len(units) - 1, 0, -1):
+            terms[i] = inverse * terms[i - 1] * weights[i]
+            inverse = inverse * units[i] % mod
+        terms[0] = inverse * weights[0]
+        # sums[k] is the total up to j = start + k - 1; keep j = 0 mod step.
+        sums = list(accumulate(terms, initial=total))
+        out.extend(x % mod for x in sums[-start % step + 1 :: step])
+        total = sums[-1]
     return e, mod, out
 
 
@@ -403,7 +485,11 @@ def phi_membership_scan(
     One report per level, every level in order or only the one given.  With
     Q = w/qd over common_denominator and P(x) = p^E H_x mod p^(E+D) from
     one _harmonic_residues pass, g_n = w_n P(Ln) makes one _phi_residues
-    product per level read p^E qd^2 phi(a, K) mod p^(E+D) at n = a + Kp.
+    call, every level's g at once, read p^E qd^2 phi(a, K) mod p^(E+D) at
+    n = a + Kp.
+
+    phi(0, 0) is exactly 0, so that point is +inf with no residue: its one
+    term is Q(0)^2 (H_0 - p H_0), and H_0 = 0.
     """
     _require_prime(p)
     q = _scan_q(spec, p, a_max, k_max)
@@ -414,15 +500,16 @@ def phi_membership_scan(
     shift = 2 * int(vp_int(qd, p))
     e, mod, h = _harmonic_residues(p, max(levels) * top, 1)
     w = [x % mod for x in w]
+    gs = ([x * h[lev * n] for n, x in enumerate(w)] for lev in levels)
     reports = []
-    for lev in levels:
-        g = [x * h[lev * n] for n, x in enumerate(w)]
-        phi_mod = _phi_residues(w, g, p, mod, top)
+    for lev, phi_mod in zip(levels, _phi_residues(w, gs, p, mod, top)):
         points = (
             (
                 (a, big_k),
                 required[lev],
-                _residue_valuation(
+                INFINITE
+                if a == big_k == 0
+                else _residue_valuation(
                     phi_mod[a + big_k * p],
                     p,
                     e + shift,

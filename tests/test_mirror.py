@@ -278,6 +278,35 @@ class TestNonintegralityWitness:
         nonintegrality_witness(spec, prime_bound=200, order=30)
         assert built == [None, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize(
+        "spec,order,drawn",
+        [
+            # The corpus probe: q fails at index 7 for p = 2.
+            (CASE_II, 40, {None: 8}),
+            # Every earlier target is read to the end at p = 2, qL=4 to index 1.
+            (
+                FactorialRatioSpec((6,), (1, 1, 4)),
+                30,
+                {None: 31, 1: 31, 2: 31, 3: 31, 4: 2},
+            ),
+        ],
+        ids=str,
+    )
+    def test_scan_draws_only_the_coefficients_it_reads(
+        self, monkeypatch, spec, order, drawn
+    ):
+        counts = {}
+        root_coeffs = MirrorMapBundle.root_coeffs
+
+        def spy(bundle, level=None, v=1):
+            for c in root_coeffs(bundle, level, v):
+                counts[level] = counts.get(level, 0) + 1
+                yield c
+
+        monkeypatch.setattr(MirrorMapBundle, "root_coeffs", spy)
+        assert nonintegrality_witness(spec, prime_bound=200, order=order)
+        assert counts == drawn
+
     def test_non_landau_rejected(self):
         with pytest.raises(ValueError):
             nonintegrality_witness(

@@ -223,6 +223,26 @@ class TestPhi:
     def test_origin(self):
         assert phi(S6, 1, 5, 0, 0) == 0
 
+    @pytest.mark.parametrize("spec", CORPUS_CASE_I, ids=str)
+    def test_origin_is_zero_at_every_level_and_prime(self, spec):
+        # The phi scan reads (a, K) = (0, 0) as +inf without a residue.
+        for level in range(1, spec.max_entry + 1):
+            for p in (2, 3, 5, 7):
+                assert phi(spec, level, p, 0, 0) == 0
+
+    def test_scan_builds_q_once(self):
+        calls = []
+        real = padic.q_ratios
+
+        def spy(spec, n):
+            calls.append(n)
+            return real(spec, n)
+
+        with mock.patch.object(padic, "q_ratios", spy):
+            rows = phi_membership_scan(S12, 7, a_max=6, k_max=25)
+        assert len(rows) == 12 and all(r.member for r in rows)
+        assert calls == [6 + 25 * 7]
+
     def test_hand_evaluation(self):
         value = phi(S6, 1, 5, 1, 0)
         assert value == q_ratio(S6, 0) * q_ratio(S6, 1) * (
@@ -703,7 +723,23 @@ class TestLemmaHarmonic:
 
     @pytest.mark.parametrize(
         "p,top,step",
-        [(2, 0, 1), (2, 1, 1), (3, 27, 1), (3, 80, 9), (7, 100, 7), (5, 24, 25)],
+        [
+            (2, 0, 1),
+            (2, 1, 1),
+            (3, 27, 1),
+            (3, 80, 9),
+            (7, 100, 7),
+            (5, 24, 25),
+            # Either side of a block of inverses, with steps that do not
+            # divide top, and one table crossing two block boundaries.
+            (2, padic._INVERSE_BLOCK - 1, 1),
+            (2, padic._INVERSE_BLOCK + 1, 1),
+            (2, padic._INVERSE_BLOCK + 1, 2),
+            (2, padic._INVERSE_BLOCK - 1, 4),
+            (3, padic._INVERSE_BLOCK + 1, 5),
+            (5, padic._INVERSE_BLOCK - 1, 3),
+            (2, 2 * padic._INVERSE_BLOCK + 3, 5),
+        ],
     )
     def test_residue_table_holds_every_step_th_prefix(self, p, top, step):
         e, mod, table = padic._harmonic_residues(p, top, step)

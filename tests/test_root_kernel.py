@@ -8,13 +8,14 @@ does not pass, so a wrong failure index would not show in any report.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirrorint import mirror
+from mirrorint import mirror, padic
 from mirrorint.landau import FactorialRatioSpec, classify, root_bound_dl
 from mirrorint.mirror import build_bundle
 from mirrorint.padic import dwork_root_index
@@ -248,3 +249,42 @@ def test_root_integrality_rejects_v_zero(spec):
         bundle.root_integrality(None, 0)
     with pytest.raises(ValueError):
         bundle.root_integrality(1, 0)
+
+
+def _phi_convolution(f, w, p, m, limit):
+    """Phi_n mod m for Phi = f(z) w(z^p) - p f(z^p) w(z), one plain sum per n."""
+    return [
+        sum(f[n - j * p] * w[j] - p * f[j] * w[n - j * p] for j in range(n // p + 1))
+        % m
+        for n in range(limit + 1)
+    ]
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    # Terms of the series in z^p: one, a few, and either side of the cutover.
+    terms=st.sampled_from([1, 2, 5, "cutover-1", "cutover", "cutover+1"]),
+    extra=st.integers(0, 6),
+    digits=st.integers(1, 50),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+)
+@example(p=2, terms=1, extra=0, digits=1, count=1, seed=0)  # limit = 0, m = p
+@example(p=7, terms=1, extra=6, digits=1, count=3, seed=1)  # limit = p - 1
+@example(p=2, terms="cutover", extra=1, digits=40, count=2, seed=2)
+@example(p=3, terms="cutover+1", extra=0, digits=40, count=2, seed=3)
+@settings(max_examples=40, deadline=None)
+def test_phi_residues_match_a_plain_convolution(p, terms, extra, digits, count, seed):
+    # limit = (terms - 1) p + extra, extra < p, has exactly terms terms in z^p.
+    cutover = padic._TERMWISE_TERMS
+    sides = {"cutover-1": cutover - 1, "cutover": cutover, "cutover+1": cutover + 1}
+    terms = sides.get(terms, terms)
+    limit = (terms - 1) * p + extra % p
+    m = p**digits
+    rng = random.Random(seed)
+    big = 10**40
+    f = [rng.randrange(-big, big) for _ in range(limit + 1)]
+    ws = [[rng.randrange(-big, big) for _ in range(limit + 1)] for _ in range(count)]
+    got = list(padic._phi_residues(f, ws, p, m, limit))
+    assert got == [_phi_convolution(f, w, p, m, limit) for w in ws]
+
