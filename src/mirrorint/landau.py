@@ -19,6 +19,7 @@ arithmetic is exact (int / Fraction).
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +39,7 @@ __all__ = [
     "profile",
     "classify",
     "root_bound_dl",
+    "require_level",
     "harmonic",
     "harmonic_block",
     "harmonic_sums",
@@ -46,7 +48,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FactorialRatioSpec:
-    """A pair of positive integer tuples defining a factorial ratio."""
+    """A pair of positive integer tuples defining a factorial ratio.
+
+    Entries must be integers (operator.index): a float is refused with
+    TypeError, not truncated.
+    """
 
     e: tuple[int, ...]
     f: tuple[int, ...]
@@ -54,8 +60,8 @@ class FactorialRatioSpec:
     def __post_init__(self):
         if not self.e or not self.f:
             raise ValueError("e and f must be nonempty")
-        object.__setattr__(self, "e", tuple(int(c) for c in self.e))
-        object.__setattr__(self, "f", tuple(int(c) for c in self.f))
+        object.__setattr__(self, "e", tuple(map(operator.index, self.e)))
+        object.__setattr__(self, "f", tuple(map(operator.index, self.f)))
         if any(c < 1 for c in self.e + self.f):
             raise ValueError("all entries of e and f must be >= 1")
 
@@ -346,11 +352,16 @@ def classify(spec: FactorialRatioSpec) -> Classification:
     )
 
 
+def require_level(level: int, big_m: int) -> None:
+    """The one guard on a level: ValueError unless 1 <= L <= M."""
+    if not 1 <= level <= big_m:
+        raise ValueError(f"level must be in [1, {big_m}], got {level}")
+
+
 def root_bound_dl(spec: FactorialRatioSpec, level: int) -> int:
     """D_L = lcm(1, ..., floor(M/L)) for 1 <= L <= M."""
     big_m = spec.max_entry
-    if not 1 <= level <= big_m:
-        raise ValueError(f"level must be in [1, {big_m}], got {level}")
+    require_level(level, big_m)
     top = big_m // level
     return math.lcm(*range(1, top + 1)) if top >= 1 else 1
 
@@ -381,18 +392,11 @@ def harmonic_block(a: int, b: int) -> Fraction:
 def harmonic_sums(level: int, order: int) -> list[Fraction]:
     """H_{L n} for n = 0, ..., order, with L = level.
 
-    Step n adds the block H_{Ln} - H_{L(n-1)} = P'/P to the running total,
-    with P = prod_{s <= L} (L(n-1) + s) from _product (Haible-Papanikolaou).
+    Step n adds the block harmonic_block(L(n-1), Ln) to the running total.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    steps = range(1, level + 1)
-    total = Fraction(0)
-    out = [total]
-    for n in range(1, order + 1):
-        p, d = _product(level * (n - 1), steps, 0, level)
-        total += Fraction(d, p)
-        out.append(total)
-    return out
+    blocks = (harmonic_block(level * (n - 1), level * n) for n in range(1, order + 1))
+    return list(accumulate(blocks, initial=Fraction(0)))

@@ -30,6 +30,7 @@ from .landau import (
     harmonic_sums,
     log_companion,
     q_ratios,
+    require_level,
     root_bound_dl,
 )
 from .padic import dwork_root_index, primes_up_to, vp_rational
@@ -104,8 +105,7 @@ class MirrorMapBundle:
             # The cached_property's slot: F from this pass unless F came first.
             vars(self).setdefault("F", TruncatedSeries(tuple(q)))
             return TruncatedSeries(tuple(g))
-        if not 1 <= level <= spec.max_entry:
-            raise ValueError(f"level {level} outside [1, {spec.max_entry}]")
+        require_level(level, spec.max_entry)
         return TruncatedSeries(
             tuple(map(mul, self.F.coeffs, harmonic_sums(level, self.order)))
         )

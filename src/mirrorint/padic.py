@@ -19,9 +19,9 @@ recomputed exactly for that point alone, so every reported valuation is
 exact.  Two kernels make the residues.  _phi_residues gives
 Phi = F(z) G(z^p) - p F(z^p) G(z) mod m from residues packed into slots
 wide enough for terms (1 + p) (m - 1)^2, terms = limit//p + 1, so no slot
-carries.  It works term by term in z^p up to 64 terms, and by residue
-class mod p above, with no zero slot in either form.  _harmonic_residues
-gets its unit inverses from one pow(., -1, mod) per block of 512 units.
+carries.  It works term by term in z^p and packs no zero slot.
+_harmonic_residues gets its unit inverses from one pow(., -1, mod) per
+block of 512 units.
 The phi scan reads phi(0, 0) = 0 as +inf with no residue.  The S scan
 reads every block from one prefix-sum pass per (a, K) and takes no residue
 of a block that is exactly 0: an empty one is skipped, and one symmetric
@@ -49,6 +49,7 @@ from .landau import (
     harmonic_block,
     harmonic_sums,
     q_ratios,
+    require_level,
     root_bound_dl,
 )
 from .series import TruncatedSeries, common_denominator
@@ -84,10 +85,6 @@ INFINITE = math.inf
 # p-adic digits the residue scans keep past p^E; a point whose scaled value
 # is 0 mod p^(E + _RESIDUE_DIGITS) is recomputed exactly.
 _RESIDUE_DIGITS = 40
-
-# _phi_residues multiplies term by term up to this many terms of a series
-# in z^p, and by residue class mod p above.
-_TERMWISE_TERMS = 64
 
 # Units sharing one modular inverse in _harmonic_residues.
 _INVERSE_BLOCK = 512
@@ -127,13 +124,16 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _require_level(spec: FactorialRatioSpec, level: int) -> None:
-    if not 1 <= level <= spec.max_entry:
-        raise ValueError(f"level must be in [1, {spec.max_entry}], got {level}")
+def _levels(big_m: int, level: Optional[int]):
+    """The levels a scan reads: 1..M in order, or the one given if in range."""
+    if level is None:
+        return range(1, big_m + 1)
+    require_level(level, big_m)
+    return (level,)
 
 
 def _require_indices(**indices: int) -> None:
-    """Grid indices of a public single-point call must be >= 0."""
+    """Grid indices of a point, and bounds of a grid, must be >= 0."""
     for name, value in indices.items():
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
@@ -239,9 +239,8 @@ def dwork_root_index(g, f, v: int, order: int) -> Optional[int]:
     p <= order (p = order included: Phi_p = g_1 - p g_p) is one
     _phi_residues call modulo m = p^{1+v_p(v)+T}, T = v_p(den), up to the
     least failure found so far; its first nonzero n >= 1 fails.  That call
-    goes term by term in z^p while its limit//p + 1 terms are at most 64
-    (at order 200, every p but 2 and 3), and by residue class mod p above;
-    either way slots of terms (1 + p) (m - 1)^2 never carry.
+    goes term by term over the limit//p + 1 terms in z^p, in slots of
+    terms (1 + p) (m - 1)^2 that never carry.
     """
     if v < 1:
         raise ValueError("v must be a positive integer")
@@ -279,72 +278,41 @@ def _phi_residues(
 ) -> Iterator[list[int]]:
     """Phi_n mod m for n <= limit, one list per w in ws, yielded in turn.
 
-    Phi = f(z) w(z^p) - p f(z^p) w(z).  Residues in [0, m) are packed
-    into fixed-width slots, -w held as m - w so every slot stays
-    nonnegative, and f is reduced and packed once for all of ws.  No form
-    packs a zero slot between the terms of a series in z^p, of which there
-    are terms = limit//p + 1:
-
-    - Term by term, while terms <= _TERMWISE_TERMS.
-      Phi = sum_j z^{jp} (w_j f(z) - p f_j w(z)): two products of a packed
-      series by one residue per term.  Slots are packed high coefficient
-      first, so z^{jp} f(z) truncated at z^limit is f shifted right by jp
-      slots, and each term multiplies only the slots that survive.
-    - By residue class, above that.  The coefficients n = r + ip of one
-      class r < p are Phi_n = (f_r w_p)_i - p (f_p w_r)_i, where
-      f_r(y) = sum_i f_{r+ip} y^i and f_p(y) = sum_{j<terms} f_j y^j (w
-      alike): two dense products per class, subquadratic in their length.
-
-    In-process, the class form took 0.55-0.93 of the time of one product
-    per convolution with p - 1 zero slots between the terms in z^p, above
-    32 terms at p <= 7.  It overtook the term-by-term form near 40-50 terms
-    at every p <= 13 on dwork_root_index's small moduli, and near 64 (p = 2)
-    to 140 (p = 13) terms on the phi scan's moduli p^(E+D).
-
-    Either way a slot sums at most terms (1 + p) products below m^2, so
-    none carries into the next.
+    Phi = f(z) w(z^p) - p f(z^p) w(z) = sum_j z^{jp} (w_j f(z) - p f_j w(z))
+    over the terms = limit//p + 1 terms of a series in z^p: two products
+    of a packed series by one residue per term.  Residues in [0, m) are
+    packed into fixed-width slots, -w held as m - w so every slot stays
+    nonnegative, and f is reduced and packed once for all of ws.  Slots are
+    packed high coefficient first, so z^{jp} f(z) truncated at z^limit is
+    f shifted right by jp slots: each term multiplies only the slots that
+    survive, and no zero slot is packed between the terms in z^p.  A slot
+    sums at most terms (1 + p) products below m^2, so none carries into
+    the next.
     """
     terms = limit // p + 1
     width = ((terms * (p + 1) * (m - 1) ** 2).bit_length() + 7) // 8
+    shift = 8 * width * p
     fr = [x % m for x in f[: limit + 1]]
 
     def pack(xs) -> int:
         data = b"".join(x.to_bytes(width, "little") for x in xs)
         return int.from_bytes(data, "little")
 
-    def unpack(phi: int, count: int) -> list[int]:
-        """The first count slots of phi, each reduced mod m."""
-        size = max((phi.bit_length() + 7) // 8, count * width)
-        buf = phi.to_bytes(size, "little")
-        return [
+    f_high = pack(reversed(fr))
+    p_f = [p * x for x in fr[:terms]]
+    for w in ws:
+        w_neg = pack(-x % m for x in reversed(w[: limit + 1]))
+        phi, f_cut = 0, f_high
+        for j in range(terms):
+            phi += w[j] % m * f_cut + p_f[j] * w_neg
+            f_cut >>= shift
+            w_neg >>= shift
+        # No slot carries, so phi fits in its limit + 1 slots.
+        buf = phi.to_bytes((limit + 1) * width, "little")
+        yield [
             int.from_bytes(buf[n * width : (n + 1) * width], "little") % m
-            for n in range(count)
+            for n in range(limit, -1, -1)
         ]
-
-    if terms <= _TERMWISE_TERMS:
-        shift = 8 * width * p
-        f_high = pack(reversed(fr))
-        p_f = [p * x for x in fr[:terms]]
-        for w in ws:
-            w_neg = pack(-x % m for x in reversed(w[: limit + 1]))
-            phi, f_cut = 0, f_high
-            for j in range(terms):
-                phi += w[j] % m * f_cut + p_f[j] * w_neg
-                f_cut >>= shift
-                w_neg >>= shift
-            yield unpack(phi, limit + 1)[::-1]
-    else:
-        # terms > 64, so limit >= 64 p and every class r < p holds a coefficient.
-        p_f = p * pack(fr[:terms])
-        f_classes = [pack(fr[r::p]) for r in range(p)]
-        for w in ws:
-            w_p = pack(x % m for x in w[:terms])
-            w_neg = [-x % m for x in w[: limit + 1]]
-            phi = [0] * (limit + 1)
-            for r, f_r in enumerate(f_classes):
-                w_r = w_neg[r::p]
-                phi[r::p] = unpack(f_r * w_p + p_f * pack(w_r), len(w_r))
-            yield phi
 
 
 def _harmonic_residues(p: int, top: int, step: int) -> tuple[int, int, list[int]]:
@@ -457,7 +425,7 @@ def phi(
     spec: FactorialRatioSpec, level: int, p: int, a: int, big_k: int
 ) -> Fraction:
     """The z^{a+Kp} coefficient of F(z) G_L(z^p) - p F(z^p) G_L(z)."""
-    _require_level(spec, level)
+    require_level(level, spec.max_entry)
     _require_prime(p)
     q, h = _tables(spec, p, a, big_k, level)
     return Fraction(_phi(q, h, p, a, big_k), h[1])
@@ -492,8 +460,9 @@ def phi_membership_scan(
     term is Q(0)^2 (H_0 - p H_0), and H_0 = 0.
     """
     _require_prime(p)
+    _require_indices(a_max=a_max, k_max=k_max)
+    levels = _levels(spec.max_entry, level)
     q = _scan_q(spec, p, a_max, k_max)
-    levels = range(1, spec.max_entry + 1) if level is None else (level,)
     required = {lev: _required(spec, lev, p) for lev in levels}
     top = len(q) - 1
     w, qd = common_denominator(q)
@@ -577,7 +546,7 @@ def w_term(
     m: int,
 ) -> Fraction:
     """W_L = (H_{L m p^s} - H_{L floor(m/p) p^{s+1}}) S(a,K,s,p,m)."""
-    _require_level(spec, level)
+    require_level(level, spec.max_entry)
     _require_prime(p)
     _require_indices(s=s, m=m)
     return _w_term(_tables(spec, p, a, big_k)[0], level, a, big_k, s, p, m)
@@ -601,7 +570,7 @@ def dwork_decomposition_check(
     sum of W_L over s <= r and m < p^{r+1-s}, where r is the least integer
     with K < p^r.  Both sides are evaluated exactly.
     """
-    _require_level(spec, level)
+    require_level(level, spec.max_entry)
     _require_prime(p)
     q, h = _tables(spec, p, a, big_k, level)
     r = 0
@@ -637,8 +606,7 @@ def lemma24_check(p: int, s: int, a: int, big_m: int, m: int, level: int) -> boo
         raise ValueError("s must be >= 1")
     if not 0 <= a < p**s:
         raise ValueError("a must satisfy 0 <= a < p^s")
-    if not 1 <= level <= big_m:
-        raise ValueError("level must satisfy 1 <= L <= M")
+    require_level(level, big_m)
     u_top = (level * a) // p**s
     if u_top == 0:
         return True
@@ -682,10 +650,9 @@ def lemma24_scan(
     M a >= L a >= p^s.
     """
     _require_prime(p)
+    _require_indices(m_max=m_max)
     big_m = spec.max_entry
-    if level is not None and not 1 <= level <= big_m:
-        raise ValueError("level must satisfy 1 <= L <= M")
-    levels = range(1, big_m + 1) if level is None else (level,)
+    levels = _levels(big_m, level)
     alphas = {lev: _floor_log(big_m // lev, p) for lev in levels}
 
     def failing():
@@ -734,6 +701,7 @@ def lemma_harmonic_check(
     spec: FactorialRatioSpec, level: int, p: int, s: int, m: int
 ) -> PadicMembershipReport:
     """p^{s+1} g_p(m) (H_{L m p^s} - H_{L floor(m/p) p^{s+1}}) in p D_L Z_p."""
+    require_level(level, spec.max_entry)
     _require_prime(p)
     _require_indices(s=s, m=m)
     mu, _ = mu_and_g(spec, p, m)
@@ -757,7 +725,8 @@ def lemma_harmonic_scan(
     p^(E+D); a zero difference is recomputed by harmonic_block.
     """
     _require_prime(p)
-    levels = range(1, spec.max_entry + 1) if level is None else (level,)
+    _require_indices(s_max=s_max, m_max=m_max)
+    levels = _levels(spec.max_entry, level)
     required = {lev: _required(spec, lev, p) for lev in levels}
     mus = [_mu(p, spec.max_entry, m) for m in range(m_max + 1)]
     tables = [
@@ -793,7 +762,7 @@ def congruence25_check(
     spec: FactorialRatioSpec, level: int, p: int, a: int, j: int
 ) -> bool:
     """p H_{L(a+jp)} = H_{Lj} + sum_{i<=floor(La/p)} 1/(Lj+i)  (mod p Z_p)."""
-    _require_level(spec, level)
+    require_level(level, spec.max_entry)
     _require_prime(p)
     if not 0 <= a < p:
         raise ValueError("a must satisfy 0 <= a < p")
@@ -806,6 +775,7 @@ def congruence_star_check(
     spec: FactorialRatioSpec, level: int, p: int, a: int, big_k: int
 ) -> bool:
     """phi + sum_j H_{Lj}(Q(a+jp)Q(K-j) - Q(j)Q(a+(K-j)p)) in p D_L Z_p."""
+    require_level(level, spec.max_entry)
     _require_prime(p)
     q, h = _tables(spec, p, a, big_k, level)
     residual = _phi(q, h, p, a, big_k) + _dwork_sum(q, h, p, a, big_k)
@@ -833,6 +803,7 @@ def s_membership_scan(
     other zero residue is recomputed by _s_sum.
     """
     _require_prime(p)
+    _require_indices(a_max=a_max, k_max=k_max, s_max=s_max, m_max=m_max)
     q = _scan_q(spec, p, a_max, k_max)
     mus = [_mu(p, spec.max_entry, m) for m in range(m_max + 1)]
     w, qd = common_denominator(q)

@@ -9,6 +9,7 @@ is predicted to have integer coefficients.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -32,7 +33,7 @@ class ZhouInstance:
     ks: tuple[int, ...]
 
     def __post_init__(self):
-        ks = tuple(sorted(int(k) for k in self.ks))
+        ks = tuple(sorted(map(operator.index, self.ks)))
         object.__setattr__(self, "ks", ks)
         if any(k < 1 for k in ks):
             raise ValueError("all k_i must be >= 1")

@@ -41,6 +41,14 @@ class TestSpec:
         with pytest.raises(ValueError):
             FactorialRatioSpec((), (1,))
 
+    @pytest.mark.parametrize(
+        "e,f", [((2.5,), (1, 1)), ((2,), (1.0, 1)), ((Fraction(2),), (1, 1))]
+    )
+    def test_rejects_non_integer_entries(self, e, f):
+        # int() would truncate 2.5 to the valid spec 2/1,1.
+        with pytest.raises(TypeError):
+            FactorialRatioSpec(e, f)
+
     def test_invariants(self):
         assert S6.max_entry == 6
         assert S6.balanced

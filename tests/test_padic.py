@@ -917,6 +917,13 @@ LEVEL_CALLS = {
         S12, level, 0, 2, 2
     ),
     "congruence25_check": lambda level: congruence25_check(S12, level, 2, 0, 2),
+    "congruence_star_check": lambda level: congruence_star_check(S12, level, 2, 0, 2),
+    "lemma_harmonic_check": lambda level: lemma_harmonic_check(S12, level, 2, 0, 3),
+    "lemma24_check": lambda level: lemma24_check(2, 1, 1, 12, 0, level),
+    "lemma24_scan": lambda level: lemma24_scan(S12, 2, 5, level),
+    "phi_membership_scan": lambda level: phi_membership_scan(S12, 2, 1, 2, level),
+    "lemma_harmonic_scan": lambda level: lemma_harmonic_scan(S12, 2, 1, 2, level),
+    "build_bundle(...).g": lambda level: build_bundle(S12, 4).g(level),
 }
 
 
@@ -929,12 +936,22 @@ def test_entry_points_reject_levels_outside_one_to_m(name, level):
 
 # A negative index must stop at the entry point: past it, p**s is a float,
 # w_term indexes its table out of range, and Q is read at a negative index.
+# A negative grid bound must too: the grid would be empty and pass.
 NEGATIVE_INDEX_CALLS = {
     "s_sum s=-1": lambda: s_sum(S12, 0, 2, -1, 2, 0),
     "s_sum m=-1": lambda: s_sum(S12, 0, 2, 0, 2, -1),
     "lemma_harmonic_check s=-1": lambda: lemma_harmonic_check(S12, 1, 2, -1, 3),
     "w_term m=-1": lambda: w_term(S12, 1, 0, 2, 0, 2, -1),
     "mu_and_g m=-3": lambda: mu_and_g(S12, 2, -3),
+    "lemma_harmonic_scan s_max=-1": lambda: lemma_harmonic_scan(S12, 5, -1, 10),
+    "lemma_harmonic_scan m_max=-1": lambda: lemma_harmonic_scan(S12, 5, 2, -1),
+    "lemma24_scan m_max=-1": lambda: lemma24_scan(S12, 5, -1),
+    "phi_membership_scan a_max=-1": lambda: phi_membership_scan(S12, 5, -1, 3),
+    "phi_membership_scan k_max=-1": lambda: phi_membership_scan(S12, 5, 2, -1),
+    "s_membership_scan a_max=-1": lambda: s_membership_scan(S12, 5, -1, 3, 1, 3),
+    "s_membership_scan k_max=-1": lambda: s_membership_scan(S12, 5, 2, -1, 1, 3),
+    "s_membership_scan s_max=-1": lambda: s_membership_scan(S12, 5, 2, 3, -1, 3),
+    "s_membership_scan m_max=-1": lambda: s_membership_scan(S12, 5, 2, 3, 1, -1),
 }
 
 

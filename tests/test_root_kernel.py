@@ -262,8 +262,9 @@ def _phi_convolution(f, w, p, m, limit):
 
 @given(
     p=st.sampled_from([2, 3, 5, 7]),
-    # Terms of the series in z^p: one, a few, and either side of the cutover.
-    terms=st.sampled_from([1, 2, 5, "cutover-1", "cutover", "cutover+1"]),
+    # Terms of the series in z^p: one, a few, and the large sizes of the
+    # Dwork pass at order 200 (67 at p = 3, 101 at p = 2) and above.
+    terms=st.sampled_from([1, 2, 5, 67, 101, 151]),
     extra=st.integers(0, 6),
     digits=st.integers(1, 50),
     count=st.integers(1, 3),
@@ -271,14 +272,12 @@ def _phi_convolution(f, w, p, m, limit):
 )
 @example(p=2, terms=1, extra=0, digits=1, count=1, seed=0)  # limit = 0, m = p
 @example(p=7, terms=1, extra=6, digits=1, count=3, seed=1)  # limit = p - 1
-@example(p=2, terms="cutover", extra=1, digits=40, count=2, seed=2)
-@example(p=3, terms="cutover+1", extra=0, digits=40, count=2, seed=3)
+@example(p=2, terms=101, extra=1, digits=40, count=2, seed=2)
+@example(p=3, terms=67, extra=0, digits=40, count=2, seed=3)
+@example(p=5, terms=151, extra=4, digits=40, count=2, seed=4)
 @settings(max_examples=40, deadline=None)
 def test_phi_residues_match_a_plain_convolution(p, terms, extra, digits, count, seed):
     # limit = (terms - 1) p + extra, extra < p, has exactly terms terms in z^p.
-    cutover = padic._TERMWISE_TERMS
-    sides = {"cutover-1": cutover - 1, "cutover": cutover, "cutover+1": cutover + 1}
-    terms = sides.get(terms, terms)
     limit = (terms - 1) * p + extra % p
     m = p**digits
     rng = random.Random(seed)
@@ -287,4 +286,3 @@ def test_phi_residues_match_a_plain_convolution(p, terms, extra, digits, count, 
     ws = [[rng.randrange(-big, big) for _ in range(limit + 1)] for _ in range(count)]
     got = list(padic._phi_residues(f, ws, p, m, limit))
     assert got == [_phi_convolution(f, w, p, m, limit) for w in ws]
-

@@ -106,6 +106,7 @@ def test_harmonic_sums_match_harmonic(level, order):
     assert len(values) == order + 1
     for n, value in enumerate(values):
         assert value == harmonic(level * n)
+        assert type(value) is Fraction
 
 
 @given(bounds=st.lists(st.integers(0, 400), min_size=2, max_size=2).map(sorted))

@@ -26,6 +26,12 @@ class TestInstance:
         with pytest.raises(ValueError):
             ZhouInstance((2, 3, 7))
 
+    @pytest.mark.parametrize("ks", [(2.5, 2), (2.0, 2), (Fraction(2), 2)])
+    def test_rejects_non_integer_entries(self, ks):
+        # int() would truncate (2.5, 2) to the valid instance (2, 2).
+        with pytest.raises(TypeError):
+            ZhouInstance(ks)
+
     def test_degenerate_instance_flagged_not_rejected(self):
         inst = ZhouInstance((1,))
         assert not inst.spec.disjoint  # e = f = (1)
