@@ -164,9 +164,9 @@ def cmd_series(args) -> int:
     level = args.level if args.target == "qL" else None
     bundle = mirror.build_bundle(spec, args.order)
     if args.target == "F":
-        coeffs = bundle.F.coeffs
+        coeffs = bundle.F
     elif args.target == "G":
-        coeffs = bundle.g().coeffs
+        coeffs = bundle.g()
     else:
         coeffs = bundle.root_coeffs(level)
     emit(

@@ -4,12 +4,12 @@ From a balanced spec we build the hypergeometric-style series F, the
 harmonic-weighted companions G and G_L, the reduced canonical coordinate
 exp(G/F) (that is, q with the leading z divided out) and the level maps
 q_L = exp(G_L/F), each only when a caller asks for it, one level at a
-time.  F and G come from one pass of landau.log_companion, F alone from
-landau.q_ratios.  On top of those sit the verifiers: the per
-level root exponents D_L, the gcd divisibility test that transfers roots of
-the q_L to roots of q, the reference exponents from the harmonic-number
-literature, and a witness search for the almost-all-primes failure in the
-non-increasing case.
+time.  F, G and G_L are coefficient tuples; F and G come from one pass of
+landau.log_companion, F alone from landau.q_ratios.  On top sit the
+verifiers: the per level root exponents D_L, the gcd divisibility test that
+transfers roots of the q_L to roots of q, the reference exponents from the
+harmonic-number literature, and a witness search for the almost-all-primes
+failure in the non-increasing case.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .landau import (
 from .padic import dwork_root_index, primes_up_to, vp_rational
 from .series import (
     IntegralityReport,
-    TruncatedSeries,
     exp_quotient_root,
     integrality_report,
 )
@@ -75,25 +74,20 @@ class CaseTwoError(ValueError):
 class MirrorMapBundle:
     """F up to order, built on first use; G, G_L and their roots, per call.
 
-    F is a per-object cached_property.  g(None) takes Q and G from one
-    landau.log_companion pass and keeps that Q as F when F is not built
-    yet, so a caller that asks for G before F, or for F alone, forms Q
-    once.  F read first comes from q_ratios, which builds no G.
+    F and g(level) are tuples of int/Fraction coefficients.  F is cached
+    per object.  g(None) takes Q and G from one landau.log_companion pass
+    and keeps that Q as F unless F is built, so G before F, or F alone,
+    forms Q once.  F read first comes from q_ratios, which builds no G.
     """
 
     spec: FactorialRatioSpec
     order: int
 
     @cached_property
-    def F(self) -> TruncatedSeries:
-        return TruncatedSeries(tuple(q_ratios(self.spec, self.order)))
+    def F(self) -> tuple:
+        return tuple(q_ratios(self.spec, self.order))
 
-    @cached_property
-    def F_integral(self) -> bool:
-        """Whether every F_n is an integer, which dwork_root_index requires."""
-        return all(c.denominator == 1 for c in self.F.coeffs)
-
-    def g(self, level: Optional[int] = None) -> TruncatedSeries:
+    def g(self, level: Optional[int] = None) -> tuple:
         """G for level=None, else G_L for a level L in [1, M].
 
         Coefficient n is Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}), from
@@ -103,19 +97,17 @@ class MirrorMapBundle:
         if level is None:
             q, g = log_companion(spec, self.order)
             # The cached_property's slot: F from this pass unless F came first.
-            vars(self).setdefault("F", TruncatedSeries(tuple(q)))
-            return TruncatedSeries(tuple(g))
+            vars(self).setdefault("F", tuple(q))
+            return tuple(g)
         require_level(level, spec.max_entry)
-        return TruncatedSeries(
-            tuple(map(mul, self.F.coeffs, harmonic_sums(level, self.order)))
-        )
+        return tuple(map(mul, self.F, harmonic_sums(level, self.order)))
 
     def root_coeffs(self, level: Optional[int] = None, v: int = 1) -> Iterator:
         """Coefficients of exp(G_L/(v F)), or of exp(G/(v F)) for level=None.
 
         Lazy: a consumer that stops early leaves the rest uncomputed.
         """
-        return exp_quotient_root(self.g(level).coeffs, self.F.coeffs, v)
+        return exp_quotient_root(self.g(level), self.F, v)
 
     def root_integrality(self, level: Optional[int], v: int) -> IntegralityReport:
         """Integrality of q_L^{1/v} (or (z^-1 q)^{1/v}), up to the first bad index.
@@ -124,14 +116,15 @@ class MirrorMapBundle:
         exponential.  A failure, or a non-integral F, runs the exp kernel up
         to the first bad coefficient, which the report carries exactly.
         """
-        g, f = self.g(level).coeffs, self.F.coeffs
-        if self.F_integral and dwork_root_index(g, f, v, self.order) is None:
+        g, f = self.g(level), self.F
+        integral_f = all(c.denominator == 1 for c in f)
+        if integral_f and dwork_root_index(g, f, v, self.order) is None:
             return IntegralityReport(integral=True, order_checked=self.order)
         return integrality_report(exp_quotient_root(g, f, v), self.order)
 
 
 def build_bundle(spec: FactorialRatioSpec, order: int) -> MirrorMapBundle:
-    """F, G, G_L and the roots to the given order, each built on first use."""
+    """F, G, G_L (coefficient tuples) and the roots, each built on first use."""
     if not spec.balanced:
         raise ValueError(f"spec {spec} is not balanced (|e| != |f|)")
     if order < 1:

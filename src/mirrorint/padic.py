@@ -26,12 +26,10 @@ The phi scan reads phi(0, 0) = 0 as +inf with no residue.  The S scan
 reads every block from one prefix-sum pass per (a, K) and takes no residue
 of a block that is exactly 0: an empty one is skipped, and one symmetric
 about K/2 is +inf.  The lemma-2.4 scan reads max_u v_p(Lm+u) from one
-interval per point instead of one valuation per u.  On 12/4,3,3,2 at
-p = 13, the S grid at K, m <= 150, s <= 3 went from 24 s to 0.4-0.7 s and
-the lemma-2.4 grid at m <= 3000 from 21 s to 2.2-2.6 s (in-process, shared
-x86-64 Linux VM).  The single-point phi, s_sum, lemma_harmonic_check and
-lemma24_check stay exact: phi reads H_{Ln} from a harmonic_sums table, and
-each difference H_b - H_a is one harmonic_block.
+interval per point instead of one valuation per u.  The single-point
+phi, s_sum, lemma_harmonic_check and lemma24_check stay exact: phi reads
+H_{Ln} from a harmonic_sums table, and each difference H_b - H_a is one
+harmonic_block.
 """
 
 from __future__ import annotations
@@ -405,6 +403,7 @@ def _tables(spec, p: int, a: int, big_k: int, level: Optional[int] = None):
     """Q(n), and H_{Ln} given a level, for n <= a + Kp: all points a'<=a, K'<=K read."""
     if not 0 <= a < p:
         raise ValueError("a must satisfy 0 <= a < p")
+    _require_indices(big_k=big_k)
     top = a + big_k * p
     if level is None:
         return q_ratios(spec, top), None
@@ -602,6 +601,7 @@ def lemma24_check(p: int, s: int, a: int, big_m: int, m: int, level: int) -> boo
     the largest v_p(Lm+u) covers them all.
     """
     _require_prime(p)
+    _require_indices(m=m)
     if s < 1:
         raise ValueError("s must be >= 1")
     if not 0 <= a < p**s:
@@ -764,6 +764,7 @@ def congruence25_check(
     """p H_{L(a+jp)} = H_{Lj} + sum_{i<=floor(La/p)} 1/(Lj+i)  (mod p Z_p)."""
     require_level(level, spec.max_entry)
     _require_prime(p)
+    _require_indices(j=j)
     if not 0 <= a < p:
         raise ValueError("a must satisfy 0 <= a < p")
     head_and_tail = harmonic_block(0, level * j + (level * a) // p)

@@ -9,7 +9,9 @@ were not actually computed.  exp and log are solved through the ODE
 recurrence b' = a' b, which keeps everything in O(N^2) exact-rational
 operations.
 
-The certifiers do not go through that ring.  common_denominator puts a
+The certifiers do not go through that ring: mirror.MirrorMapBundle hands
+out F, G and G_L as coefficient tuples, and the ring is the oracle the
+tests check the certifiers against.  common_denominator puts a
 sequence over the lcm delta of its denominators, and exp_quotient_root
 computes exp(h/v) for h = g / f on integers over that one delta, one
 coefficient at a time: it solves f h = g as it goes, never forming 1/f, so

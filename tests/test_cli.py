@@ -328,9 +328,9 @@ class TestCorpusRunner:
         def corrupted(bundle, level=None):
             out = g(bundle, level)
             if str(bundle.spec) == "6/3,2,1" and level == 1:
-                coeffs = list(out.coeffs)
+                coeffs = list(out)
                 coeffs[3] += Fraction(1, 7)
-                out = TruncatedSeries(tuple(coeffs))
+                out = tuple(coeffs)
             return out
 
         monkeypatch.setattr(MirrorMapBundle, "g", corrupted)
@@ -347,7 +347,7 @@ class TestCorpusRunner:
             calls.append(order)
             return 1
 
-        level_one = build_bundle(parse_spec("6/3,2,1"), 40).g(1).coeffs
+        level_one = build_bundle(parse_spec("6/3,2,1"), 40).g(1)
         exp_quotient_root = mirror.exp_quotient_root
 
         def corrupted(g, f, v=1):
@@ -362,6 +362,31 @@ class TestCorpusRunner:
         failing = [e for e in entries if not e.passed]
         assert [e.name for e in failing] == ["6/3,2,1"]
         assert calls
+
+
+def test_commands_build_no_ring_element(monkeypatch, capsys):
+    # The bundle hands out coefficient tuples and the certifiers read plain
+    # sequences, so no command constructs a TruncatedSeries.
+    built = []
+    post_init = TruncatedSeries.__post_init__
+
+    def counting(series):
+        built.append(series)
+        post_init(series)
+
+    monkeypatch.setattr(TruncatedSeries, "__post_init__", counting)
+    spec = ["--spec", "6/3,2,1", "--order", "20"]
+    commands = [
+        ["verify", *spec, "--target", "q"],
+        ["verify", *spec, "--target", "qL", "--L", "2"],
+        *(["series", *spec, "--target", t, "--L", "2"] for t in ("F", "G", "q", "qL")),
+        ["zhou", "--n-max", "3", "--order", "10"],
+        ["corpus"],
+    ]
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+    capsys.readouterr()
+    assert built == []
 
 
 def test_zhou_csv_output(tmp_path, capsys):

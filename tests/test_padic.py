@@ -164,7 +164,7 @@ class TestValuationViaDelta:
 class TestDworkQuotient:
     def test_integral_f_passes(self):
         bundle = build_bundle(S2, 27)
-        assert dwork_quotient_test(bundle.F, 3).member
+        assert dwork_quotient_test(TruncatedSeries(bundle.F), 3).member
 
     def test_constant_one(self):
         assert dwork_quotient_test(TruncatedSeries.one(10), 5).member
@@ -205,13 +205,13 @@ class TestDworkExp:
 
     def test_case_i_ratio_passes(self):
         bundle = build_bundle(S6, 30)
-        ratio = bundle.g() * bundle.F.reciprocal()
+        ratio = TruncatedSeries(bundle.g()) * TruncatedSeries(bundle.F).reciprocal()
         assert dwork_exp_test(ratio, 5).member
 
     def test_consistency_with_exponential(self):
         # both routes must agree on exp(f) being p-integral
         bundle = build_bundle(S2, 20)
-        ratio = bundle.g() * bundle.F.reciprocal()
+        ratio = TruncatedSeries(bundle.g()) * TruncatedSeries(bundle.F).reciprocal()
         for p in (2, 3, 5):
             direct = all(
                 vp_rational(c, p) >= 0 for c in ratio.exp().coeffs
@@ -935,8 +935,9 @@ def test_entry_points_reject_levels_outside_one_to_m(name, level):
 
 
 # A negative index must stop at the entry point: past it, p**s is a float,
-# w_term indexes its table out of range, and Q is read at a negative index.
-# A negative grid bound must too: the grid would be empty and pass.
+# w_term indexes its table out of range, Q is read at a negative index and
+# lemma24_check gives a verdict off the lemma's m >= 0.  A negative grid
+# bound must too: the grid would be empty and pass.
 NEGATIVE_INDEX_CALLS = {
     "s_sum s=-1": lambda: s_sum(S12, 0, 2, -1, 2, 0),
     "s_sum m=-1": lambda: s_sum(S12, 0, 2, 0, 2, -1),
@@ -952,10 +953,22 @@ NEGATIVE_INDEX_CALLS = {
     "s_membership_scan k_max=-1": lambda: s_membership_scan(S12, 5, 2, -1, 1, 3),
     "s_membership_scan s_max=-1": lambda: s_membership_scan(S12, 5, 2, 3, -1, 3),
     "s_membership_scan m_max=-1": lambda: s_membership_scan(S12, 5, 2, 3, 1, -1),
+    "lemma24_check m=-1": lambda: lemma24_check(2, 1, 1, 12, -1, 1),
+    "lemma24_check m=-5": lambda: lemma24_check(3, 1, 2, 12, -5, 12),
+    "phi big_k=-1": lambda: phi(S12, 1, 2, 0, -1),
+    "s_sum big_k=-1": lambda: s_sum(S12, 0, -1, 0, 2, 0),
+    "w_term big_k=-1": lambda: w_term(S12, 1, 0, -1, 0, 2, 0),
+    "congruence_star_check big_k=-1": lambda: congruence_star_check(S12, 1, 2, 0, -1),
+    "dwork_decomposition_check big_k=-1": (
+        lambda: dwork_decomposition_check(S12, 1, 0, -1, 2)
+    ),
+    "congruence25_check j=-1": lambda: congruence25_check(S12, 1, 2, 1, -1),
 }
 
 
 @pytest.mark.parametrize("name", list(NEGATIVE_INDEX_CALLS))
 def test_entry_points_reject_negative_indices(name):
-    with pytest.raises(ValueError, match="must be >= 0"):
+    # The message names the argument and its value: "<index> must be >= 0, got <v>".
+    index, value = name.split()[-1].split("=")
+    with pytest.raises(ValueError, match=f"^{index} must be >= 0, got {value}$"):
         NEGATIVE_INDEX_CALLS[name]()

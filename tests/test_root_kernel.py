@@ -50,12 +50,12 @@ def balanced_specs(draw):
 @example(spec=FactorialRatioSpec((1, 1), (2,)), order=25, wrong=3)  # non-Landau
 def test_kernel_matches_fraction_ring(spec, order, wrong):
     bundle = build_bundle(spec, order)
-    f_inv = bundle.F.reciprocal()
+    f_inv = TruncatedSeries(bundle.F).reciprocal()
     targets = [(None, spec.max_entry)] + [
         (level, root_bound_dl(spec, level)) for level in range(1, spec.max_entry + 1)
     ]
     for level, natural in targets:
-        exp_h = (bundle.g(level) * f_inv).exp()
+        exp_h = (TruncatedSeries(bundle.g(level)) * f_inv).exp()
         for v in (1, natural, wrong * natural):
             oracle = exp_h.vth_root(v)
             assert list(bundle.root_coeffs(level, v)) == list(oracle.coeffs)
@@ -149,12 +149,12 @@ def _exp_index(g, f, v, order):
 @example(spec=FactorialRatioSpec((4,), (1, 1, 2)), order=17, multiple=5)
 def test_dwork_index_matches_exp_kernel(spec, order, multiple):
     bundle = build_bundle(spec, order)
-    f = bundle.F.coeffs
+    f = bundle.F
     targets = [(None, spec.max_entry)] + [
         (level, root_bound_dl(spec, level)) for level in range(1, spec.max_entry + 1)
     ]
     for level, natural in targets:
-        g, v = bundle.g(level).coeffs, natural * multiple
+        g, v = bundle.g(level), natural * multiple
         expected = _exp_index(g, f, v, order)
         assert dwork_root_index(g, f, v, order) == expected
 
@@ -167,7 +167,7 @@ def test_dwork_index_matches_exp_kernel(spec, order, multiple):
 @pytest.mark.parametrize("multiple", [1, 2, 3])
 def test_dwork_index_matches_exp_kernel_on_zhou(instance, multiple):
     bundle = build_bundle(instance.spec, 30)
-    g, f, v = bundle.g().coeffs, bundle.F.coeffs, instance.k * multiple
+    g, f, v = bundle.g(), bundle.F, instance.k * multiple
     for order in range(1, 31):
         expected = _exp_index(g[: order + 1], f, v, order)
         assert dwork_root_index(g, f, v, order) == expected
@@ -228,9 +228,9 @@ def test_dwork_rejects_bad_input():
 def test_non_integral_f_takes_the_exp_route(monkeypatch):
     spec = FactorialRatioSpec((2, 2), (3, 1))
     bundle = build_bundle(spec, 20)
-    assert any(c.denominator != 1 for c in bundle.F.coeffs)
+    assert any(c.denominator != 1 for c in bundle.F)
     with pytest.raises(ValueError):
-        dwork_root_index(bundle.g().coeffs, bundle.F.coeffs, 1, 20)
+        dwork_root_index(bundle.g(), bundle.F, 1, 20)
 
     def refuse(*args):
         raise AssertionError("the Dwork certifier needs an integral F")
