@@ -5,15 +5,13 @@ tuples (e, f): the ratio Q(n) = prod (e_i n)! / prod (f_j n)!, the step
 function D(x) = sum floor(e_i x) - sum floor(f_j x), its piecewise-constant
 profile on [0, 1), and the derived integers M, D_L used as root exponents.
 D is enumerated once per spec object, by its jump table over the ticks s/L
-(L the lcm of the entries), which classify, profile, q_ratios and
-log_companion share.  The table steps Q(n) from Q(n-1), and its derivative
-in n steps G_n = Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}).
-log_companion yields Q and G from one pass: it reduces each step's ratio
-a/d to a'/d' before the ratio touches Q or G, and it pairs the ticks s and
-L - s, whose jumps are equal (eps_s = eps_{L-s} for 0 < s < L, proved in
-its docstring).  One binary split, _product, gives a product of shifted
-factors and its derivative; a harmonic block is their ratio.  All
-arithmetic is exact (int / Fraction).
+(L the lcm of the entries), which classify, profile and the step kernel
+_steps share.  _steps yields each step of Q(n) from Q(n-1), its ratio
+reduced and its factors paired (s with L - s), and the derivative in n
+that steps G_n = Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}): q_ratios
+reads the Q half, log_companion both.  One binary split, _product, gives
+a product of shifted factors and its derivative; a harmonic block is their
+ratio.  All arithmetic is exact (int / Fraction).
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
-from typing import Sequence
+from itertools import accumulate, count, islice
+from typing import Iterator, Sequence
 
 
 __all__ = [
@@ -143,62 +141,21 @@ def q_ratio(spec: FactorialRatioSpec, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _recurrence(spec: FactorialRatioSpec) -> tuple[int, Fraction, list[int], list[int]]:
-    """(L, C, up, down) with Q(n) = Q(n-1) C prod_s (L(n-1) + s)^eps_s.
-
-    (cn)! / (c(n-1))! = (c/L)^c prod (L(n-1) + s) over the s = iL/c, i = 1..c,
-    so C = prod_f (L/f)^f / prod_e (L/e)^e, and a factor shared by an e-block
-    and an f-block cancels in eps_s before anything is multiplied.  up lists
-    each s with eps_s > 0 eps_s times, down each s with eps_s < 0 -eps_s times.
-    """
-    lcm, ticks, eps = spec.jump_table
-    c = Fraction(
-        math.prod((lcm // f) ** f for f in spec.f),
-        math.prod((lcm // e) ** e for e in spec.e),
-    )
-    up = [s for s, w in zip(ticks, eps) for _ in range(w)]
-    down = [s for s, w in zip(ticks, eps) for _ in range(-w)]
-    return lcm, c, up, down
-
-
-def _product(base: int, factors: Sequence[int], lo: int, hi: int) -> tuple[int, int]:
-    """(P, P') for P = prod (base + s) over factors[lo:hi], P' = P sum 1/(base + s).
+def _product(base: int, factors: Sequence[int]) -> tuple[int, int]:
+    """(P, P') for P = prod (base + s) over factors, P' = P sum 1/(base + s).
 
     P' is the derivative of P in base; both come from one binary split.
     """
-    if hi - lo <= 16:
+    if len(factors) <= 16:
         # Short runs are cheaper factor by factor than split further.
         p, d = 1, 0
-        for x in map(base.__add__, factors[lo:hi]):
+        for x in map(base.__add__, factors):
             p, d = p * x, d * x + p
         return p, d
-    mid = (lo + hi) // 2
-    p1, d1 = _product(base, factors, lo, mid)
-    p2, d2 = _product(base, factors, mid, hi)
+    mid = len(factors) // 2
+    p1, d1 = _product(base, factors[:mid])
+    p2, d2 = _product(base, factors[mid:])
     return p1 * p2, d1 * p2 + p1 * d2
-
-
-def q_ratios(spec: FactorialRatioSpec, order: int) -> list[int | Fraction]:
-    """Q(0), ..., Q(order), each from the one before by the jump table of D.
-
-    Q(n) = Q(n-1) C prod_s (L(n-1) + s)^eps_s (see _recurrence): one exact
-    division per step, by the negative factors and the denominator of C.
-    A value is an int when the division is exact and a Fraction otherwise
-    (specs that fail the Landau criterion); both take the same path.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    lcm, c, up, down = _recurrence(spec)
-    q = 1
-    out = [q]
-    for n in range(1, order + 1):
-        base = lcm * (n - 1)
-        q *= c.numerator * math.prod(map(base.__add__, up))
-        den = c.denominator * math.prod(map(base.__add__, down))
-        quotient, remainder = divmod(q, den)
-        q = quotient if remainder == 0 else Fraction(q, den)
-        out.append(q)
-    return out
 
 
 def _paired_product(
@@ -210,11 +167,59 @@ def _paired_product(
     B = b (b + L), so the pairs are one _product in B, and d/db = (2b + L) d/dB.
     rest holds the unpaired s = L/2 and s = L.
     """
-    p, d = _product(base * (base + lcm), pairs, 0, len(pairs))
+    p, d = _product(base * (base + lcm), pairs)
     d *= 2 * base + lcm
     for x in map(base.__add__, rest):
         p, d = p * x, d * x + p
     return p, d
+
+
+def _steps(spec: FactorialRatioSpec) -> Iterator[tuple[int, int, int, int, int]]:
+    """Step n = 1, 2, ... of Q's recurrence, reduced: (a', d', u, v, d).
+
+    The one kernel behind q_ratios and log_companion.  With b = L(n-1),
+    Q(n) = Q(n-1) C prod_s (b + s)^eps_s: (cn)! / (c(n-1))! is
+    (c/L)^c prod (b + s) over the s = iL/c, i = 1..c, so
+    C = prod_f (L/f)^f / prod_e (L/e)^e, and a factor shared by an e-block
+    and an f-block cancels in eps_s before anything is multiplied.  With P_+
+    and P_- the products of the factors with eps_s > 0 and eps_s < 0,
+    |eps_s| times each, P' = P sum 1/(b + s), a = C_num P_+ and
+    d = C_den P_-, the ratio is reduced first: a' = a/r and d' = d/r with
+    r = gcd(a, d), so Q(n) = (Q(n-1)/d') a'.  S(n) = sum e_i H_{e_i n} -
+    sum f_j H_{f_j n} steps by L sum_s eps_s / (b + s), the ratio's
+    derivative, so with u = L C_num P_+' and v = L C_den P_-'
+
+        G_n = Q(n) S(n) = a' G_{n-1}/d' + (Q(n-1)/d') (d' u - a' v)/d.
+
+    At 1806/903,602,258,42,1, n = 20, d' has 1564 bits against 7613 for P_-.
+
+    Lemma (paired ticks): eps_s = eps_{L-s} for 0 < s < L.  Proof: floor(c x)
+    jumps at x = s/L exactly when s = iL/c for an integer i, and for
+    0 < s < L that holds with 0 < i < c exactly when L - s = (c - i)L/c does.
+    Summing over the entries, eps_s = eps_{L-s}.  So each sign's factors
+    (b + s)(b + L - s) pair up into one _product over half as many terms
+    (_paired_product); only s = L/2 and s = L stand alone.
+    """
+    lcm, ticks, eps = spec.jump_table
+    c = Fraction(
+        math.prod((lcm // f) ** f for f in spec.f),
+        math.prod((lcm // e) ** e for e in spec.e),
+    )
+    # A side is (pairs, rest): s (L - s) for each s < L/2, then s = L/2, L.
+    up, down = ([], []), ([], [])
+    for s, w in zip(ticks, eps):
+        pairs, rest = up if w > 0 else down
+        if 2 * s < lcm:
+            pairs += [s * (lcm - s)] * abs(w)
+        elif 2 * s == lcm or s == lcm:
+            rest += [s] * abs(w)
+    scale_up, scale_down = lcm * c.numerator, lcm * c.denominator
+    for base in count(0, lcm):
+        up_p, up_d = _paired_product(base, lcm, *up)
+        down_p, down_d = _paired_product(base, lcm, *down)
+        a, d = c.numerator * up_p, c.denominator * down_p
+        r = math.gcd(a, d)
+        yield a // r, d // r, scale_up * up_d, scale_down * down_d, d
 
 
 def _divide(x: int | Fraction, m: int) -> int | Fraction:
@@ -235,63 +240,44 @@ def _normal(x: int | Fraction) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def log_companion(
-    spec: FactorialRatioSpec, order: int
-) -> tuple[list[int | Fraction], list[int | Fraction]]:
-    """(Q(0..N), G_0..G_N) with G_n = Q(n) S(n), from one pass over the jumps of D.
+def q_ratios(spec: FactorialRatioSpec, order: int) -> list[int | Fraction]:
+    """Q(0), ..., Q(order), each from the one before by the reduced step of _steps.
 
-    The weight S(n) = sum e_i H_{e_i n} - sum f_j H_{f_j n} steps by
-    L sum_s eps_s / (L(n-1) + s), so differentiating Q's recurrence steps G
-    too.  With P_+ and P_- the products of the positive and negative factors
-    of step n, P' = P sum 1/(L(n-1) + s) over them, a = C_num P_+ and
-    d = C_den P_-, the step ratio a/d is reduced first: r = gcd(a, d),
-    a' = a/r, d' = d/r.  Then
-
-        Q(n) = (Q(n-1)/d') a',
-        G_n = a' G_{n-1}/d' + L (Q(n-1)/d') K/d,
-        K = C_num d' P_+' - C_den a' P_-',
-
-    with K/d reduced before it meets G, so every division of a Q- or G-sized
-    number is by d' or by the denominator of K/d, not by P_-; the two gcds
-    are of P-sized numbers only.  At 1806/903,602,258,42,1, n = 20, d' has
-    1564 bits against 7613 for P_-.
-
-    Lemma (paired ticks): eps_s = eps_{L-s} for 0 < s < L.  Proof: floor(c x)
-    jumps at x = s/L exactly when s = iL/c for an integer i, and for
-    0 < s < L that holds with 0 < i < c exactly when L - s = (c - i)L/c does.
-    Summing over the entries, eps_s = eps_{L-s}.  So each sign's factors
-    (b + s)(b + L - s), b = L(n-1), pair up into one _product over half as
-    many terms (_paired_product); only s = L/2 and s = L stand alone.
-
-    Q(n) is an int when integral and a Fraction otherwise, as in q_ratios;
-    so is G_n.  A non-Landau spec takes the same path in Fractions.
+    Q(n) = (Q(n-1)/d') a': one exact division per step, by d'.  A value is
+    an int while integral and a Fraction otherwise (specs that fail the
+    Landau criterion); both take the same path.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    lcm, c, up, down = _recurrence(spec)
-    # By the lemma each s < L/2 stands for the pair (s, L - s).
-    up, down = (
-        (
-            [s * (lcm - s) for s in side if 2 * s < lcm],
-            [s for s in side if 2 * s in (lcm, 2 * lcm)],
-        )
-        for side in (up, down)
-    )
+    q = 1
+    out = [q]
+    for a, d_red, *_ in islice(_steps(spec), order):
+        q = _normal(_divide(q, d_red) * a)
+        out.append(q)
+    return out
+
+
+def log_companion(
+    spec: FactorialRatioSpec, order: int
+) -> tuple[list[int | Fraction], list[int | Fraction]]:
+    """(Q(0..N), G_0..G_N) with G_n = Q(n) S(n), from one pass of _steps.
+
+    Each step takes Q(n) as q_ratios does, and reduces k/d, k = d' u - a' v,
+    before it meets G.  So every division of a Q- or G-sized number is by d'
+    or by the denominator of k/d, never by P_-, and the gcds are of P-sized
+    numbers only.  G_n is an int when integral and a Fraction otherwise, as
+    Q(n) is; a non-Landau spec takes the same path.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     q, g = 1, 0
     qs, gs = [q], [g]
-    for n in range(1, order + 1):
-        base = lcm * (n - 1)
-        up_n, up_d = _paired_product(base, lcm, *up)
-        down_n, down_d = _paired_product(base, lcm, *down)
-        a, d = c.numerator * up_n, c.denominator * down_n
-        r = math.gcd(a, d)
-        a, d_red = a // r, d // r
-        k_num = c.numerator * d_red * up_d - c.denominator * a * down_d
-        h = math.gcd(k_num, d)
-        k_num, k_den = k_num // h, d // h
+    for a, d_red, u, v, d in islice(_steps(spec), order):
+        k = d_red * u - a * v
+        h = math.gcd(k, d)
         t = _divide(q, d_red)  # Q(n-1)/d'
         q = _normal(t * a)
-        g = _normal(a * _divide(g, d_red) + lcm * k_num * _divide(t, k_den))
+        g = _normal(a * _divide(g, d_red) + k // h * _divide(t, d // h))
         qs.append(q)
         gs.append(g)
     return qs, gs
@@ -385,7 +371,7 @@ def harmonic_block(a: int, b: int) -> Fraction:
     """H_b - H_a = P'/P for 0 <= a <= b, with P = (a + 1) ... b from _product."""
     if not 0 <= a <= b:
         raise ValueError("harmonic_block needs 0 <= a <= b")
-    p, d = _product(a, range(1, b - a + 1), 0, b - a)
+    p, d = _product(a, range(1, b - a + 1))
     return Fraction(d, p)
 
 

@@ -5,7 +5,8 @@ harmonic-weighted companions G and G_L, the reduced canonical coordinate
 exp(G/F) (that is, q with the leading z divided out) and the level maps
 q_L = exp(G_L/F), each only when a caller asks for it, one level at a
 time.  F, G and G_L are coefficient tuples; F and G come from one pass of
-landau.log_companion, F alone from landau.q_ratios.  On top sit the
+landau.log_companion, F alone from landau.q_ratios, and both step Q through
+the same reduced, paired step of landau's one kernel.  On top sit the
 verifiers: the per level root exponents D_L, the gcd divisibility test that
 transfers roots of the q_L to roots of q, the reference exponents from the
 harmonic-number literature, and a witness search for the almost-all-primes
@@ -77,7 +78,8 @@ class MirrorMapBundle:
     F and g(level) are tuples of int/Fraction coefficients.  F is cached
     per object.  g(None) takes Q and G from one landau.log_companion pass
     and keeps that Q as F unless F is built, so G before F, or F alone,
-    forms Q once.  F read first comes from q_ratios, which builds no G.
+    forms Q once.  F read first comes from q_ratios, which reads only the Q
+    half of the same steps and builds no G.
     """
 
     spec: FactorialRatioSpec

@@ -14,9 +14,10 @@ remaining terms vanish (p^l beyond the argument times M); the cutoffs are
 computed, never guessed.  Q is read from a q_ratios table built once per
 scan or public call.  The phi, harmonic-lemma and S scans read each value
 scaled by p^E as a residue mod p^(E+D), D = _RESIDUE_DIGITS: a nonzero
-residue carries the value's exact valuation, and a zero residue is
-recomputed exactly for that point alone, so every reported valuation is
-exact.  Two kernels make the residues.  _phi_residues gives
+residue carries the value's exact valuation, read from one gcd with the
+modulus (_valuation_reader), and a zero residue is recomputed exactly for
+that point alone, so every reported valuation is exact.  Two kernels make
+the residues.  _phi_residues gives
 Phi = F(z) G(z^p) - p F(z^p) G(z) mod m from residues packed into slots
 wide enough for terms (1 + p) (m - 1)^2, terms = limit//p + 1, so no slot
 carries.  It works term by term in z^p and packs no zero slot.
@@ -435,9 +436,20 @@ def _required(spec: FactorialRatioSpec, level: int, p: int) -> int:
     return 1 + int(vp_int(root_bound_dl(spec, level), p))
 
 
-def _residue_valuation(residue: int, p: int, scale: int, exact) -> Valuation:
-    """v_p(x) from residue = p^scale x mod p^(scale+D); exact() gives x on a 0."""
-    return int(vp_int(residue, p)) - scale if residue else vp_rational(exact(), p)
+def _valuation_reader(p: int, digits: int, scale: int):
+    """valuation(r, exact) = v_p(x) from r = p^scale x mod p^digits.
+
+    A residue 0 < r < p^digits has v_p(r) = i for gcd(r, p^digits) = p^i,
+    read from a table {p^i: i} built once per modulus; on a zero residue,
+    exact() gives x.
+    """
+    mod = p**digits
+    shifts = {p**i: i - scale for i in range(digits)}
+
+    def valuation(residue: int, exact) -> Valuation:
+        return shifts[math.gcd(residue, mod)] if residue else vp_rational(exact(), p)
+
+    return valuation
 
 
 def phi_membership_scan(
@@ -467,6 +479,7 @@ def phi_membership_scan(
     w, qd = common_denominator(q)
     shift = 2 * int(vp_int(qd, p))
     e, mod, h = _harmonic_residues(p, max(levels) * top, 1)
+    valuation = _valuation_reader(p, e + _RESIDUE_DIGITS, e + shift)
     w = [x % mod for x in w]
     gs = ([x * h[lev * n] for n, x in enumerate(w)] for lev in levels)
     reports = []
@@ -477,11 +490,8 @@ def phi_membership_scan(
                 required[lev],
                 INFINITE
                 if a == big_k == 0
-                else _residue_valuation(
-                    phi_mod[a + big_k * p],
-                    p,
-                    e + shift,
-                    lambda: phi(spec, lev, p, a, big_k),
+                else valuation(
+                    phi_mod[a + big_k * p], lambda: phi(spec, lev, p, a, big_k)
                 ),
             )
             for a in range(min(a_max, p - 1) + 1)
@@ -730,17 +740,18 @@ def lemma_harmonic_scan(
     required = {lev: _required(spec, lev, p) for lev in levels}
     mus = [_mu(p, spec.max_entry, m) for m in range(m_max + 1)]
     tables = [
-        _harmonic_residues(p, max(levels) * m_max * p**s, p**s)
-        for s in range(s_max + 1)
+        (mod, h, _valuation_reader(p, e + _RESIDUE_DIGITS, e))
+        for e, mod, h in (
+            _harmonic_residues(p, max(levels) * m_max * p**s, p**s)
+            for s in range(s_max + 1)
+        )
     ]
 
     def actual(lev: int, s: int, m: int) -> Valuation:
-        e, mod, h = tables[s]
+        mod, h, valuation = tables[s]
         # In units of p^s: a = L floor(m/p) p^{s+1}, b = L m p^s.
-        block = _residue_valuation(
+        block = valuation(
             (h[lev * m] - h[lev * (m // p) * p]) % mod,
-            p,
-            e,
             lambda: harmonic_block(lev * (m // p) * p ** (s + 1), lev * m * p**s),
         )
         return s + 1 + mus[m] + block
@@ -810,6 +821,7 @@ def s_membership_scan(
     w, qd = common_denominator(q)
     shift = 2 * int(vp_int(qd, p))
     mod = p ** (shift + _RESIDUE_DIGITS)
+    valuation = _valuation_reader(p, shift + _RESIDUE_DIGITS, shift)
     w = [x % mod for x in w]
 
     def points():
@@ -827,10 +839,8 @@ def s_membership_scan(
                         if lo + hi - 1 == big_k:
                             actual = INFINITE
                         else:
-                            actual = _residue_valuation(
+                            actual = valuation(
                                 (prefix[hi] - prefix[lo]) % mod,
-                                p,
-                                shift,
                                 lambda: _s_sum(q, a, big_k, s, p, m),
                             )
                         yield (a, big_k, s, m), s + 1 + mus[m], actual

@@ -126,7 +126,9 @@ class BatchSummary:
         return self.passed == self.total
 
 
-MAX_BATCH_PARTS = 6  # decomposition counts explode beyond this
+# n = 6 has 3462 instances up to k = 3 263 442, about 85 h at order 30: it is
+# refused until a pre-flight budget can bound its cost.
+MAX_BATCH_PARTS = 5
 
 
 def batch(n_max: int, order: int) -> BatchSummary:

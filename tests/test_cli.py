@@ -75,6 +75,25 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total"] == 5 and payload["passed"] == 5
 
+    def test_zhou_refuses_six_parts_before_it_starts(self):
+        # n = 6 would run for about 85 h: a child process with a timeout turns
+        # a batch that starts into a failure.
+        src = os.path.dirname(os.path.dirname(padic.__file__))
+        argv = ["zhou", "--n-max", "6", "--order", "30"]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mirrorint.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("zhou --n-max 6 started instead of being refused")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: n_max must be in [1, 5]\n"
+        assert proc.stdout == ""
+
     def test_seed_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--seed", "7", "corpus"])

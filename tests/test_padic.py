@@ -902,6 +902,26 @@ def test_entry_points_reject_composite(p):
     assert proc.stdout.splitlines() == [f"{call}: ValueError" for call in calls]
 
 
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13]),
+    digits=st.integers(1, 60),
+    u=st.integers(1, 10**40),
+    v=st.integers(0, 70),
+    scale=st.integers(0, 20),
+)
+@settings(max_examples=200, deadline=None)
+@example(p=2, digits=60, u=1, v=59, scale=0)
+@example(p=13, digits=60, u=12, v=0, scale=20)
+@example(p=3, digits=5, u=2, v=5, scale=1)  # residue 0: read exactly
+def test_valuation_reader_matches_vp_int(p, digits, u, v, scale):
+    # The scans read v_p of a residue from one gcd with the modulus.
+    valuation = padic._valuation_reader(p, digits, scale)
+    residue = u * p**v % p**digits
+    exact = Fraction(u * p**v, p**scale)
+    expected = vp_int(residue, p) - scale if residue else vp_rational(exact, p)
+    assert valuation(residue, lambda: exact) == expected
+
+
 def test_vp_int_tests_only_p_below_two():
     # p = 1 runs in test_entry_points_reject_composite's child process.
     assert vp_int(5, 4) == 0  # no primality test on the hot path

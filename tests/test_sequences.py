@@ -1,18 +1,23 @@
 """The step-by-step sequences against the random-access primitives.
 
 q_ratios is checked against q_ratio, log_companion against q_ratio times the
-harmonic weight (and its Q against q_ratios), the symmetry of D's jumps that
-log_companion pairs its factors by against delta_at, harmonic_sums and
+harmonic weight (and its Q against q_ratios), both against one step kernel
+that alone forms a step's products, the symmetry of D's jumps that the
+kernel pairs its factors by against delta_at, harmonic_sums and
 harmonic_block against harmonic (itself against a plain sum of unit
 fractions), and profile and classify against oracles that value every
 candidate breakpoint i/c as a Fraction with delta_at.
 """
 
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mirrorint import landau
 from mirrorint.landau import (
     FactorialRatioSpec,
     LandauProfile,
@@ -34,6 +39,10 @@ ZHOU_SPECS = tuple(
 Z1806 = FactorialRatioSpec((1806,), (903, 602, 258, 42, 1))
 UNBALANCED = FactorialRatioSpec((3,), (1, 1))
 NON_LANDAU = FactorialRatioSpec((2, 2), (3, 1))
+# L = 4: the down side holds only s = L/2 and s = L, no pair.
+HALF_AND_WHOLE = FactorialRatioSpec((4,), (2, 2))
+# L = 3 is odd, so there is no s = L/2.
+ODD_LCM = FactorialRatioSpec((3,), (1, 1, 1))
 
 entries = st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple)
 # Balanced and unbalanced, Landau and not, and every Zhou spec (k up to 1806).
@@ -48,6 +57,8 @@ specs = st.one_of(
 @example(spec=Z1806, order=8)
 @example(spec=UNBALANCED, order=12)
 @example(spec=NON_LANDAU, order=12)
+@example(spec=HALF_AND_WHOLE, order=12)
+@example(spec=ODD_LCM, order=12)
 # L = 765765 is far above the entry sums: the jump table is sparse in 1..L.
 @example(spec=FactorialRatioSpec((7, 11, 13), (5, 9, 17)), order=6)
 def test_q_ratios_match_q_ratio(spec, order):
@@ -64,6 +75,8 @@ def test_q_ratios_match_q_ratio(spec, order):
 @example(spec=Z1806, order=8)
 @example(spec=UNBALANCED, order=12)
 @example(spec=NON_LANDAU, order=12)
+@example(spec=HALF_AND_WHOLE, order=12)
+@example(spec=ODD_LCM, order=12)
 def test_log_companion_matches_harmonic_weight(spec, order):
     q, values = log_companion(spec, order)
     # The pass's Q is q_ratios', value for value and type for type.
@@ -80,13 +93,52 @@ def test_log_companion_matches_harmonic_weight(spec, order):
         assert isinstance(value, int) == (expected.denominator == 1)
 
 
+@pytest.mark.parametrize("build", [landau.q_ratios, landau.log_companion])
+@pytest.mark.parametrize(
+    "spec, order", [(Z1806, 3), (NON_LANDAU, 7), (HALF_AND_WHOLE, 5), (ODD_LCM, 5)]
+)
+def test_q_and_g_step_through_one_kernel(build, spec, order, monkeypatch):
+    # Each reader draws exactly N steps from landau._steps, and no other code
+    # forms a step's products: every product of factors comes from the kernel.
+    drawn, calls = [], []
+    kernel = landau._steps
+
+    def steps(spec):
+        for step in kernel(spec):
+            drawn.append(step)
+            yield step
+
+    def spy(name, real):
+        def wrapper(*args):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(landau, "_steps", steps)
+    for name in ("_paired_product", "_product"):
+        monkeypatch.setattr(landau, name, spy(name, getattr(landau, name)))
+    monkeypatch.setattr(landau.math, "prod", spy("prod", landau.math.prod))
+    build(spec, order)
+    assert len(drawn) == order
+    # C once, then one paired product per sign and step.
+    assert Counter(call for call in calls if call[0] != "_product") == {
+        ("prod", "_steps"): 2,
+        ("_paired_product", "_steps"): 2 * order,
+    }
+    assert {caller for name, caller in calls if name == "_product"} <= {
+        "_paired_product",
+        "_product",
+    }
+
+
 @given(spec=specs)
 @settings(max_examples=80, deadline=None)
 @example(spec=Z1806)
 @example(spec=UNBALANCED)
 @example(spec=NON_LANDAU)
 def test_jumps_are_symmetric(spec):
-    # The lemma behind log_companion's paired ticks: eps_s = eps_{L-s}, 0 < s < L.
+    # The lemma behind the step kernel's paired ticks: eps_s = eps_{L-s}, 0 < s < L.
     lcm, ticks, eps = spec.jump_table
     jumps = dict(zip(ticks, eps))
     for s in range(1, lcm):
