@@ -12,17 +12,16 @@ out of memory or a report that cannot be written.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import landau, mirror, padic, zhou
+from ._record import record
 from .landau import FactorialRatioSpec
 from .series import IntegralityReport
 
@@ -303,6 +302,8 @@ def cmd_zhou(args) -> int:
     summary = zhou.batch(args.n_max, args.order)
     rows = _zhou_rows(summary)
     if args.format == "csv":
+        import csv  # only this report needs it: off the start-up path
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -335,7 +336,7 @@ ZHOU_N_MAX = 4
 ZHOU_ORDER = 30
 
 
-@dataclass
+@record
 class CorpusEntry:
     name: str
     passed: bool
@@ -495,6 +496,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             big_m = parse_spec(args.spec).max_entry
             if not 1 <= level <= big_m:
                 raise ValueError(f"--L {level} is outside [1, {big_m}]")
+        root = getattr(args, "root", None)
+        if root is not None and root < 1:
+            raise ValueError(f"--root must be >= 1, got {root}")
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, count, islice
 from typing import Iterator, Sequence
+
+from ._record import record
 
 
 __all__ = [
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class FactorialRatioSpec:
     """A pair of positive integer tuples defining a factorial ratio.
 
@@ -113,7 +114,7 @@ class FactorialRatioSpec:
         return ",".join(map(str, self.e)) + "/" + ",".join(map(str, self.f))
 
 
-@dataclass(frozen=True)
+@record
 class LandauProfile:
     """Breakpoints and values of D on [0, 1), plus the jump at each breakpoint."""
 
@@ -122,7 +123,7 @@ class LandauProfile:
     jumps: tuple[tuple[Fraction, int], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     """Verdict of the two step-function conditions, with violating abscissas."""
 

@@ -16,14 +16,13 @@ failure in the non-increasing case.
 from __future__ import annotations
 
 import math
-from copy import copy
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import tee
 from operator import mul
 from typing import Iterable, Iterator, Optional
 
+from ._record import record, replace
 from .landau import (
     Classification,
     FactorialRatioSpec,
@@ -71,7 +70,7 @@ class CaseTwoError(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@record
 class MirrorMapBundle:
     """F up to order, built on first use; G, G_L and their roots, per call.
 
@@ -153,7 +152,7 @@ def verify_theorem1(
     }
 
 
-@dataclass(frozen=True)
+@record
 class RootHypothesisVerdict:
     """Outcome of the divisibility hypothesis theta/gcd(L, theta) | D_L."""
 
@@ -184,7 +183,7 @@ def root_exponent_for_q(
     return RootHypothesisVerdict(spec, theta, True)
 
 
-@dataclass(frozen=True)
+@record
 class ReferenceExponents:
     """Reference root exponents from the harmonic-number literature."""
 
@@ -246,7 +245,7 @@ def reference_exponents(spec: FactorialRatioSpec) -> ReferenceExponents:
     )
 
 
-@dataclass(frozen=True)
+@record
 class NonintegralityWitness:
     prime: int
     target: str           # "q" or "qL=<level>"
@@ -273,14 +272,16 @@ def nonintegrality_witness(
 
     # A root is started the first time the scan reaches its level, and its
     # coefficients are drawn only as far as some scan has read: each scan
-    # reads a copy of the unread tee, which keeps what the copies drew.
+    # reads one of two tees of the unread root, and the other, kept, holds
+    # what the scan drew.
     bundle = build_bundle(spec, order)
     roots: dict[Optional[int], Iterator] = {}
     for p in primes_up_to(prime_bound):
         for level in (None, *range(1, spec.max_entry + 1)):
             if level not in roots:
-                (roots[level],) = tee(bundle.root_coeffs(level), 1)
-            hit = _first_negative_vp(copy(roots[level]), p)
+                roots[level] = bundle.root_coeffs(level)
+            roots[level], scan = tee(roots[level])
+            hit = _first_negative_vp(scan, p)
             if hit:
                 target = "q" if level is None else f"qL={level}"
                 return NonintegralityWitness(p, target, hit[0], hit[1])

@@ -36,11 +36,11 @@ harmonic_block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Union
 
+from ._record import record, replace
 from .landau import (
     FactorialRatioSpec,
     classify,
@@ -91,7 +91,7 @@ _INVERSE_BLOCK = 512
 Valuation = Union[int, float]
 
 
-@dataclass(frozen=True)
+@record
 class PadicMembershipReport:
     """Verdict of 'value(s) lie in p^k Z_p', with the worst valuation seen."""
 

@@ -21,10 +21,11 @@ a verifier can stop at the first non-integral coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
+
+from ._record import record
 
 __all__ = [
     "TruncatedSeries",
@@ -37,7 +38,7 @@ __all__ = [
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@record
 class IntegralityReport:
     """First non-integer coefficient of a series, if any, up to a given order."""
 
@@ -113,7 +114,7 @@ def exp_quotient_root(
         yield y_n
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedSeries:
     coeffs: tuple[Scalar, ...]
 

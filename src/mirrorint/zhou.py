@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import record
 from .landau import FactorialRatioSpec, classify
 from .mirror import build_bundle
 from .series import IntegralityReport
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ZhouInstance:
     ks: tuple[int, ...]
 
@@ -82,7 +82,7 @@ def enumerate_decompositions(n: int) -> list[ZhouInstance]:
     return [ZhouInstance(ks) for ks in found]
 
 
-@dataclass(frozen=True)
+@record
 class ZhouVerdict:
     """The report on (z^-1 q)^(1/instance.k), or None outside case (i)."""
 
@@ -108,7 +108,7 @@ def verify_zhou(instance: ZhouInstance, order: int) -> ZhouVerdict:
     return ZhouVerdict(instance, report)
 
 
-@dataclass(frozen=True)
+@record
 class BatchSummary:
     order: int
     verdicts: tuple[ZhouVerdict, ...]

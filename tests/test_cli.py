@@ -94,6 +94,14 @@ class TestExitCodes:
         assert proc.stderr == "error: n_max must be in [1, 5]\n"
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("root", ["0", "-3"])
+    def test_verify_root_below_one_names_the_flag(self, root, capsys):
+        argv = ["verify", "--spec", "6/3,2,1", "--target", "q", "--root", root]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --root must be >= 1, got {root}\n"
+
     def test_seed_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--seed", "7", "corpus"])
@@ -381,6 +389,26 @@ class TestCorpusRunner:
         failing = [e for e in entries if not e.passed]
         assert [e.name for e in failing] == ["6/3,2,1"]
         assert calls
+
+
+def test_startup_imports_no_unneeded_module():
+    # Every CLI run pays for what importing the CLI loads: dataclasses (with
+    # inspect), csv and copy stay out of a fresh, site-less interpreter.
+    src = os.path.dirname(os.path.dirname(padic.__file__))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from mirrorint import cli; cli.build_parser(); "
+        "print(*[m for m in sys.argv[2:] if m in sys.modules])"
+    )
+    unneeded = ["dataclasses", "inspect", "csv", "copy"]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src, *unneeded],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_commands_build_no_ring_element(monkeypatch, capsys):
