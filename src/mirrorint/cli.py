@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import landau, mirror, padic, zhou
 from ._record import record
@@ -101,7 +100,7 @@ def profile_json(prof: landau.LandauProfile) -> dict:
     }
 
 
-def write_report(text: str, output: Optional[str]) -> None:
+def write_report(text: str, output: str | None) -> None:
     """Write text to the file output, or to stdout when output is None.
 
     stdout is flushed here, so a closed pipe or a full device is a usage
@@ -124,7 +123,7 @@ def write_report(text: str, output: Optional[str]) -> None:
         raise ValueError(f"cannot write the report: {exc}") from None
 
 
-def emit(payload: dict, output: Optional[str]) -> None:
+def emit(payload: dict, output: str | None) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
     write_report(json.dumps(payload, indent=2) + "\n", output)
 
@@ -478,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     # Before the subcommand, argparse would read an unknown option's value as it.

@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, count, islice
-from typing import Iterator, Sequence
 
 from ._record import record
 
@@ -70,17 +70,9 @@ class FactorialRatioSpec:
         return max(self.e + self.f)
 
     @property
-    def weight_e(self) -> int:
-        return sum(self.e)
-
-    @property
-    def weight_f(self) -> int:
-        return sum(self.f)
-
-    @property
     def balanced(self) -> bool:
-        """Equal weights; makes D 1-periodic and q well-defined."""
-        return self.weight_e == self.weight_f
+        """Equal weights, sum(e) = sum(f): D is 1-periodic and q well-defined."""
+        return sum(self.e) == sum(self.f)
 
     @property
     def disjoint(self) -> bool:

@@ -16,11 +16,11 @@ failure in the non-increasing case.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
 from itertools import tee
 from operator import mul
-from typing import Iterable, Iterator, Optional
 
 from ._record import record, replace
 from .landau import (
@@ -78,7 +78,8 @@ class MirrorMapBundle:
     per object.  g(None) takes Q and G from one landau.log_companion pass
     and keeps that Q as F unless F is built, so G before F, or F alone,
     forms Q once.  F read first comes from q_ratios, which reads only the Q
-    half of the same steps and builds no G.
+    half of the same steps and builds no G.  root_coeffs(level) yields q_L
+    (or z^-1 q), and root_integrality(level, v) decides its v-th root.
     """
 
     spec: FactorialRatioSpec
@@ -88,7 +89,7 @@ class MirrorMapBundle:
     def F(self) -> tuple:
         return tuple(q_ratios(self.spec, self.order))
 
-    def g(self, level: Optional[int] = None) -> tuple:
+    def g(self, level: int | None = None) -> tuple:
         """G for level=None, else G_L for a level L in [1, M].
 
         Coefficient n is Q(n) (sum e_i H_{e_i n} - sum f_j H_{f_j n}), from
@@ -103,14 +104,14 @@ class MirrorMapBundle:
         require_level(level, spec.max_entry)
         return tuple(map(mul, self.F, harmonic_sums(level, self.order)))
 
-    def root_coeffs(self, level: Optional[int] = None, v: int = 1) -> Iterator:
-        """Coefficients of exp(G_L/(v F)), or of exp(G/(v F)) for level=None.
+    def root_coeffs(self, level: int | None = None) -> Iterator:
+        """Coefficients of q_L = exp(G_L/F), or of exp(G/F) for level=None.
 
         Lazy: a consumer that stops early leaves the rest uncomputed.
         """
-        return exp_quotient_root(self.g(level), self.F, v)
+        return exp_quotient_root(self.g(level), self.F, 1)
 
-    def root_integrality(self, level: Optional[int], v: int) -> IntegralityReport:
+    def root_integrality(self, level: int | None, v: int) -> IntegralityReport:
         """Integrality of q_L^{1/v} (or (z^-1 q)^{1/v}), up to the first bad index.
 
         An integral F lets padic.dwork_root_index certify a pass without the
@@ -119,7 +120,7 @@ class MirrorMapBundle:
         """
         g, f = self.g(level), self.F
         integral_f = all(c.denominator == 1 for c in f)
-        if integral_f and dwork_root_index(g, f, v, self.order) is None:
+        if integral_f and dwork_root_index(g, f, v) is None:
             return IntegralityReport(integral=True, order_checked=self.order)
         return integrality_report(exp_quotient_root(g, f, v), self.order)
 
@@ -159,7 +160,7 @@ class RootHypothesisVerdict:
     spec: FactorialRatioSpec
     theta: int
     hypothesis_holds: bool
-    failing_level: Optional[int] = None
+    failing_level: int | None = None
 
 
 def root_exponent_for_q(
@@ -190,10 +191,10 @@ class ReferenceExponents:
     spec: FactorialRatioSpec
     theta_l: dict[int, int]                 # denominator of H_L, per level
     q_one_over_theta: dict[int, Fraction]   # Q(1)/Theta_L
-    xi: Optional[Fraction] = None
-    omega: Optional[Fraction] = None
-    xi_exponent: Optional[Fraction] = None      # Xi_N * Q(1)
-    omega_exponent: Optional[Fraction] = None   # Omega_N * Q(1) * q1 * N
+    xi: Fraction | None = None
+    omega: Fraction | None = None
+    xi_exponent: Fraction | None = None      # Xi_N * Q(1)
+    omega_exponent: Fraction | None = None   # Omega_N * Q(1) * q1 * N
 
 
 def reference_exponents(spec: FactorialRatioSpec) -> ReferenceExponents:
@@ -255,7 +256,7 @@ class NonintegralityWitness:
 
 def nonintegrality_witness(
     spec: FactorialRatioSpec, prime_bound: int, order: int
-) -> Optional[NonintegralityWitness]:
+) -> NonintegralityWitness | None:
     """First (p, series, index) with a negative p-adic coefficient valuation.
 
     Meant for specs in case (ii), where all but finitely many primes must
@@ -275,7 +276,7 @@ def nonintegrality_witness(
     # reads one of two tees of the unread root, and the other, kept, holds
     # what the scan drew.
     bundle = build_bundle(spec, order)
-    roots: dict[Optional[int], Iterator] = {}
+    roots: dict[int | None, Iterator] = {}
     for p in primes_up_to(prime_bound):
         for level in (None, *range(1, spec.max_entry + 1)):
             if level not in roots:
@@ -288,7 +289,7 @@ def nonintegrality_witness(
     return None
 
 
-def _first_negative_vp(coeffs: Iterable, p: int) -> Optional[tuple[int, int]]:
+def _first_negative_vp(coeffs: Iterable, p: int) -> tuple[int, int] | None:
     for n, c in enumerate(coeffs):
         if c.denominator % p == 0:
             return n, vp_rational(c, p)

@@ -4,7 +4,8 @@ Every quantity handled here is an exact rational, so p-adic membership
 statements reduce to valuation comparisons or to congruences between
 integers.  The module exposes the valuation formula for Q(n) through the
 step function, the two Dieudonne-Dwork reduction tests, the root certifier
-that decides the second one for exp(G/(vF)) by congruences mod p^k, the
+dwork_root_index(g, f, v) that decides the second one for exp(G/(vF)) by
+congruences mod p^k, up to the order its coefficient inputs reach, the
 coefficient functional phi, the split sums S and W with their correction
 factor g_p(m) = p^{mu_p(m)}, and each supporting lemma as an executable
 check over explicit finite grids.
@@ -23,7 +24,8 @@ wide enough for terms (1 + p) (m - 1)^2, terms = limit//p + 1, so no slot
 carries.  It works term by term in z^p and packs no zero slot.
 _harmonic_residues gets its unit inverses from one pow(., -1, mod) per
 block of 512 units.
-The phi scan reads phi(0, 0) = 0 as +inf with no residue.  The S scan
+The phi scan reads phi(0, 0) = 0 as +inf with no residue, and the
+harmonic-lemma scan does the same for its empty blocks (p | m).  The S scan
 reads every block from one prefix-sum pass per (a, K) and takes no residue
 of a block that is exactly 0: an empty one is skipped, and one symmetric
 about K/2 is +inf.  The lemma-2.4 scan reads max_u v_p(Lm+u) from one
@@ -36,9 +38,9 @@ harmonic_block.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Optional, Union
 
 from ._record import record, replace
 from .landau import (
@@ -88,7 +90,7 @@ _RESIDUE_DIGITS = 40
 # Units sharing one modular inverse in _harmonic_residues.
 _INVERSE_BLOCK = 512
 
-Valuation = Union[int, float]
+Valuation = int | float
 
 
 @record
@@ -100,7 +102,7 @@ class PadicMembershipReport:
     value_description: str
     actual_valuation: Valuation
     member: bool
-    witness: Optional[tuple] = None
+    witness: tuple | None = None
 
 
 def is_prime(n: int) -> bool:
@@ -123,7 +125,7 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _levels(big_m: int, level: Optional[int]):
+def _levels(big_m: int, level: int | None):
     """The levels a scan reads: 1..M in order, or the one given if in range."""
     if level is None:
         return range(1, big_m + 1)
@@ -222,13 +224,14 @@ def dwork_exp_test(f_series: TruncatedSeries, p: int) -> PadicMembershipReport:
     return _coefficients_in_pz(diff, p, "f(z^p) - p f(z)")
 
 
-def dwork_root_index(g, f, v: int, order: int) -> Optional[int]:
+def dwork_root_index(g, f, v: int) -> int | None:
     """First n <= order with [exp(h/v)]_n not an integer, where f h = g; else None.
 
-    f is integral with f_0 = 1 and g_0 = 0.  For a prime p, dwork_exp_test's
-    equivalence holds coefficient by coefficient: exp(h/v) is p-integral up
-    to z^n exactly when coefficients 1..n of h(z^p) - p h(z) lie in
-    p^{1+v_p(v)} Z_p.  That series is Phi / (f(z) f(z^p)) with
+    f is integral with f_0 = 1 and g_0 = 0.  The order is
+    min(len(g), len(f)) - 1, as in series.exp_quotient_root.  For a prime p,
+    dwork_exp_test's equivalence holds coefficient by coefficient: exp(h/v)
+    is p-integral up to z^n exactly when coefficients 1..n of h(z^p) - p h(z)
+    lie in p^{1+v_p(v)} Z_p.  That series is Phi / (f(z) f(z^p)) with
     Phi = f(z) g(z^p) - p f(z^p) g(z), and f(z) f(z^p) is a unit, so the
     test reads Phi instead and never forms h or the exponential.
 
@@ -247,8 +250,7 @@ def dwork_root_index(g, f, v: int, order: int) -> Optional[int]:
         raise ValueError("dwork_root_index requires g_0 = 0")
     if f[0] != 1:
         raise ValueError("dwork_root_index requires f_0 = 1")
-    if not 0 <= order < min(len(g), len(f)):
-        raise ValueError(f"order must be in [0, {min(len(g), len(f)) - 1}]")
+    order = min(len(g), len(f)) - 1
     f, f_den = common_denominator(f[: order + 1])
     if f_den != 1:
         raise ValueError("dwork_root_index requires integer f")
@@ -400,7 +402,7 @@ def _scan_q(spec, p: int, a_max: int, k_max: int):
     return _tables(spec, p, min(a_max, p - 1), k_max)[0]
 
 
-def _tables(spec, p: int, a: int, big_k: int, level: Optional[int] = None):
+def _tables(spec, p: int, a: int, big_k: int, level: int | None = None):
     """Q(n), and H_{Ln} given a level, for n <= a + Kp: all points a'<=a, K'<=K read."""
     if not 0 <= a < p:
         raise ValueError("a must satisfy 0 <= a < p")
@@ -457,7 +459,7 @@ def phi_membership_scan(
     p: int,
     a_max: int,
     k_max: int,
-    level: Optional[int] = None,
+    level: int | None = None,
 ) -> list[PadicMembershipReport]:
     """phi in p D_L Z_p over 0 <= a <= min(a_max, p-1), 0 <= K <= k_max.
 
@@ -645,7 +647,7 @@ def _interval_valuations(p: int, step: int, count: int, m_max: int) -> list[int]
 
 
 def lemma24_scan(
-    spec: FactorialRatioSpec, p: int, m_max: int, level: Optional[int] = None
+    spec: FactorialRatioSpec, p: int, m_max: int, level: int | None = None
 ) -> PadicMembershipReport:
     """lemma24_check over s in {1, 2}, a < p^s, every level (or one), m <= m_max.
 
@@ -722,7 +724,7 @@ def lemma_harmonic_check(
 
 
 def lemma_harmonic_scan(
-    spec: FactorialRatioSpec, p: int, s_max: int, m_max: int, level: Optional[int] = None
+    spec: FactorialRatioSpec, p: int, s_max: int, m_max: int, level: int | None = None
 ) -> list[PadicMembershipReport]:
     """lemma_harmonic_check over every level (or one), s <= s_max, m <= m_max.
 
@@ -732,7 +734,9 @@ def lemma_harmonic_scan(
 
     Both block endpoints are multiples of p^s, so one _harmonic_residues
     pass per s gives every block as P(b) - P(a) = p^E (H_b - H_a) mod
-    p^(E+D); a zero difference is recomputed by harmonic_block.
+    p^(E+D); a zero difference is recomputed by harmonic_block.  For p | m
+    the block is empty (a = L floor(m/p) p^{s+1} = L m p^s = b), so it is
+    exactly 0 and the point is +inf with no residue.
     """
     _require_prime(p)
     _require_indices(s_max=s_max, m_max=m_max)
@@ -748,6 +752,8 @@ def lemma_harmonic_scan(
     ]
 
     def actual(lev: int, s: int, m: int) -> Valuation:
+        if m % p == 0:
+            return INFINITE
         mod, h, valuation = tables[s]
         # In units of p^s: a = L floor(m/p) p^{s+1}, b = L m p^s.
         block = valuation(

@@ -21,9 +21,9 @@ a verifier can stop at the first non-integral coefficient.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._record import record
 
@@ -35,7 +35,7 @@ __all__ = [
     "exp_quotient_root",
 ]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 @record
@@ -44,8 +44,8 @@ class IntegralityReport:
 
     integral: bool
     order_checked: int
-    first_bad_index: Optional[int] = None
-    first_bad_coefficient: Optional[Fraction] = None
+    first_bad_index: int | None = None
+    first_bad_coefficient: Fraction | None = None
 
 
 def integrality_report(coeffs: Iterable[Scalar], order: int) -> IntegralityReport:
@@ -128,7 +128,7 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Scalar], order: Optional[int] = None
+    def from_coeffs(cls, coeffs: Iterable[Scalar], order: int | None = None
                     ) -> "TruncatedSeries":
         cs = list(coeffs)
         if order is not None:

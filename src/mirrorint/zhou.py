@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Optional
 
 from ._record import record
 from .landau import FactorialRatioSpec, classify
@@ -87,7 +86,7 @@ class ZhouVerdict:
     """The report on (z^-1 q)^(1/instance.k), or None outside case (i)."""
 
     instance: ZhouInstance
-    report: Optional[IntegralityReport]
+    report: IntegralityReport | None
 
     @property
     def passed(self) -> bool:

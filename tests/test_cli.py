@@ -370,8 +370,8 @@ class TestCorpusRunner:
         # route, whose output is then corrupted for 6/3,2,1 at level 1.
         calls = []
 
-        def failing_certifier(g, f, v, order):
-            calls.append(order)
+        def failing_certifier(g, f, v):
+            calls.append(v)
             return 1
 
         level_one = build_bundle(parse_spec("6/3,2,1"), 40).g(1)
@@ -393,14 +393,15 @@ class TestCorpusRunner:
 
 def test_startup_imports_no_unneeded_module():
     # Every CLI run pays for what importing the CLI loads: dataclasses (with
-    # inspect), csv and copy stay out of a fresh, site-less interpreter.
+    # inspect), csv, copy and typing stay out of a fresh, site-less
+    # interpreter.
     src = os.path.dirname(os.path.dirname(padic.__file__))
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
         "from mirrorint import cli; cli.build_parser(); "
         "print(*[m for m in sys.argv[2:] if m in sys.modules])"
     )
-    unneeded = ["dataclasses", "inspect", "csv", "copy"]
+    unneeded = ["dataclasses", "inspect", "csv", "copy", "typing"]
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, src, *unneeded],
         capture_output=True,

@@ -99,7 +99,7 @@ class TestDelta:
     @given(x=rationals)
     def test_fractional_part_identity(self, x):
         frac = x - math.floor(x)
-        expected = delta_at(S12, frac) + (S12.weight_e - S12.weight_f) * math.floor(x)
+        expected = delta_at(S12, frac) + (sum(S12.e) - sum(S12.f)) * math.floor(x)
         assert delta_at(S12, x) == expected
 
     @given(x=rationals)

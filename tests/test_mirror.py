@@ -269,9 +269,9 @@ class TestNonintegralityWitness:
         built = []
         root_coeffs = MirrorMapBundle.root_coeffs
 
-        def spy(bundle, level=None, v=1):
+        def spy(bundle, level=None):
             built.append(level)
-            return root_coeffs(bundle, level, v)
+            return root_coeffs(bundle, level)
 
         monkeypatch.setattr(MirrorMapBundle, "root_coeffs", spy)
         spec = FactorialRatioSpec((6,), (1, 1, 4))
@@ -298,8 +298,8 @@ class TestNonintegralityWitness:
         counts = {}
         root_coeffs = MirrorMapBundle.root_coeffs
 
-        def spy(bundle, level=None, v=1):
-            for c in root_coeffs(bundle, level, v):
+        def spy(bundle, level=None):
+            for c in root_coeffs(bundle, level):
                 counts[level] = counts.get(level, 0) + 1
                 yield c
 

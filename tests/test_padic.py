@@ -693,6 +693,24 @@ class TestLemmaHarmonic:
         assert not rows[-1].member
         assert (rows[-1].required_valuation, rows[-1].actual_valuation) == (11, 2)
 
+    def test_scan_reads_empty_blocks_without_the_exact_fallback(self, monkeypatch):
+        # p | m makes a = L floor(m/p) p^{s+1} equal b = L m p^s, so the
+        # block is exactly 0.  On the benchmark's harmonic grid those are
+        # 828 of 2268 points, and none reaches harmonic_block; every other
+        # block has a nonzero residue.
+        calls = []
+        real = padic.harmonic_block
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(padic, "harmonic_block", counting)
+        for p in (2, 3, 5):
+            rows = lemma_harmonic_scan(S12, p, 2, 20)
+            assert rows[-1].member
+        assert calls == []
+
     @given(
         spec=st.sampled_from(CORPUS_CASE_I + [S3_1111]),
         raw_level=st.integers(0, 100),
