@@ -14,9 +14,6 @@ immutable record, as @dataclass(frozen=True) would:
   __post_init__ writes through object.__setattr__, and a cached_property
   through the instance __dict__, which every record keeps.
 
-replace(obj, **changes) rebuilds a record through __init__, so its checks
-run again, as the stdlib's replace does for a dataclass.
-
 Why not @dataclass: every CLI run pays for importing its module before it
 does any work.  That module loads inspect, with ast, dis and tokenize, and
 each @dataclass(frozen=True) then execs the source of its methods.  On
@@ -32,7 +29,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-__all__ = ["record", "replace"]
+__all__ = ["record"]
 
 # Fields are set one by one, as __setattr__ would: writing vars(self) instead
 # makes CPython 3.11 give up its inline attribute layout, and every later
@@ -90,11 +87,4 @@ def record(cls):
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         method.__qualname__ = f"{name}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    cls.__record_fields__ = names
     return cls
-
-
-def replace(obj, **changes):
-    """A copy of the record obj with some fields changed, built by __init__."""
-    fields = {n: getattr(obj, n) for n in type(obj).__record_fields__}
-    return type(obj)(**{**fields, **changes})

@@ -133,7 +133,7 @@ def emit(payload: dict, output: str | None) -> None:
 
 
 def cmd_delta(args) -> int:
-    spec = parse_spec(args.spec)
+    spec = args.spec
     prof = landau.profile(spec)
     verdict = landau.classify(spec)
     emit(
@@ -158,7 +158,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_series(args) -> int:
-    spec = parse_spec(args.spec)
+    spec = args.spec
     level = args.level if args.target == "qL" else None
     bundle = mirror.build_bundle(spec, args.order)
     if args.target == "F":
@@ -182,7 +182,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = parse_spec(args.spec)
+    spec = args.spec
     verdict = landau.classify(spec)
     root = args.root
     if root is None:
@@ -222,7 +222,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exponents(args) -> int:
-    spec = parse_spec(args.spec)
+    spec = args.spec
     ref = mirror.reference_exponents(spec)
     payload = {
         "command": "exponents",
@@ -247,7 +247,7 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_padic(args) -> int:
-    spec = parse_spec(args.spec)
+    spec = args.spec
     reports = []
     for p in args.primes:
         if args.what == "phi":
@@ -255,17 +255,15 @@ def cmd_padic(args) -> int:
                 spec, p, args.a_max, args.k_max, args.level
             )
         elif args.what == "s":
-            reports.append(
-                padic.s_membership_scan(
-                    spec, p, args.a_max, args.k_max, args.s_max, args.m_max
-                )
+            reports += padic.s_membership_scan(
+                spec, p, args.a_max, args.k_max, args.s_max, args.m_max
             )
         elif args.what == "harmonic":
             reports += padic.lemma_harmonic_scan(
                 spec, p, args.s_max, args.m_max, args.level
             )
         else:
-            reports.append(padic.lemma24_scan(spec, p, args.m_max, args.level))
+            reports += padic.lemma24_scan(spec, p, args.m_max, args.level)
     emit(
         {
             "command": "padic",
@@ -491,8 +489,10 @@ def main(argv: list[str] | None = None) -> int:
         level = getattr(args, "level", None)
         if getattr(args, "target", None) == "qL" and level is None:
             raise ValueError("--target qL requires --L")
+        if hasattr(args, "spec"):
+            args.spec = parse_spec(args.spec)
         if level is not None:
-            big_m = parse_spec(args.spec).max_entry
+            big_m = args.spec.max_entry
             if not 1 <= level <= big_m:
                 raise ValueError(f"--L {level} is outside [1, {big_m}]")
         root = getattr(args, "root", None)

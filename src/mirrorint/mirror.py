@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import tee
 from operator import mul
 
-from ._record import record, replace
+from ._record import record
 from .landau import (
     Classification,
     FactorialRatioSpec,
@@ -212,8 +212,7 @@ def reference_exponents(spec: FactorialRatioSpec) -> ReferenceExponents:
     # Q(1) may be an int: Fraction keeps the quotient exact.
     q_over = {level: Fraction(q_one, theta) for level, theta in theta_l.items()}
 
-    ref = ReferenceExponents(spec=spec, theta_l=theta_l, q_one_over_theta=q_over)
-
+    xi = omega = xi_exponent = omega_exponent = None
     n_val = spec.e[0]
     shaped = (
         len(set(spec.e)) == 1
@@ -221,28 +220,21 @@ def reference_exponents(spec: FactorialRatioSpec) -> ReferenceExponents:
         and spec.balanced
         and n_val >= 2
     )
-    if not shaped:
-        return ref
-
-    h_n = h[n_val]
-    xi = Fraction(1)
-    omega = Fraction(1)
-    for p in primes_up_to(n_val):
-        known = p in KNOWN_WOLSTENHOLME_PRIMES
-        xi_flag = 1 if (known or n_val % p == 0) else 0
-        xi *= Fraction(p) ** min(2 + xi_flag, vp_rational(h_n, p))
-        om_flag = 1 if (known or n_val % p in (1, p - 1)) else 0
-        shifted = h_n - 1
-        v_shift = vp_rational(shifted, p) if shifted else 2 + om_flag
-        omega *= Fraction(p) ** min(2 + om_flag, v_shift)
-
-    q1_count = len(spec.e)
-    return replace(
-        ref,
-        xi=xi,
-        omega=omega,
-        xi_exponent=xi * q_one,
-        omega_exponent=omega * q_one * q1_count * n_val,
+    if shaped:
+        h_n = h[n_val]
+        xi = omega = Fraction(1)
+        for p in primes_up_to(n_val):
+            known = p in KNOWN_WOLSTENHOLME_PRIMES
+            xi_flag = 1 if (known or n_val % p == 0) else 0
+            xi *= Fraction(p) ** min(2 + xi_flag, vp_rational(h_n, p))
+            om_flag = 1 if (known or n_val % p in (1, p - 1)) else 0
+            shifted = h_n - 1
+            v_shift = vp_rational(shifted, p) if shifted else 2 + om_flag
+            omega *= Fraction(p) ** min(2 + om_flag, v_shift)
+        xi_exponent = xi * q_one
+        omega_exponent = omega * q_one * len(spec.e) * n_val
+    return ReferenceExponents(
+        spec, theta_l, q_over, xi, omega, xi_exponent, omega_exponent
     )
 
 

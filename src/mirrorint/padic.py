@@ -42,7 +42,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate
 
-from ._record import record, replace
+from ._record import record
 from .landau import (
     FactorialRatioSpec,
     classify,
@@ -374,14 +374,14 @@ def _grid_report(p: int, description: str, points) -> PadicMembershipReport:
     """Reduce (key, required, actual) grid points, taken in grid order.
 
     member: no point lies below its required valuation; witness: the first
-    failing key.  The row carries the required and actual valuation of the
-    point of least margin actual - required, the first one on a tie (0 and
-    inf for an empty grid).
+    failing key (None if keys are None).  The row carries the required and
+    actual valuation of the point of least margin actual - required, the
+    first one on a tie (0 and inf for an empty grid).
     """
-    witness, closest = None, None
+    member, witness, closest = True, None, None
     for key, required, actual in points:
-        if witness is None and actual < required:
-            witness = key
+        if member and actual < required:
+            member, witness = False, key
         if closest is None or actual - required < closest[1] - closest[0]:
             closest = (required, actual)
     required, actual = closest or (0, INFINITE)
@@ -390,7 +390,7 @@ def _grid_report(p: int, description: str, points) -> PadicMembershipReport:
         required_valuation=required,
         value_description=description,
         actual_valuation=actual,
-        member=witness is None,
+        member=member,
         witness=witness,
     )
 
@@ -648,12 +648,13 @@ def _interval_valuations(p: int, step: int, count: int, m_max: int) -> list[int]
 
 def lemma24_scan(
     spec: FactorialRatioSpec, p: int, m_max: int, level: int | None = None
-) -> PadicMembershipReport:
+) -> list[PadicMembershipReport]:
     """lemma24_check over s in {1, 2}, a < p^s, every level (or one), m <= m_max.
 
-    The lemma is a predicate on fractional parts, so the report carries no
-    valuation: required and actual are both 0, and member says whether every
-    grid point passed.  The witness is the first failing (s, a, L, m).
+    Returns one row in a list.  The lemma is a predicate on fractional
+    parts, so the row carries no valuation: required and actual are both 0,
+    and member says whether every grid point passed.  The witness is the
+    first failing (s, a, L, m).
 
     Each point is lemma24_check with the arguments checked once, alpha
     taken once per level and max_u v_p(Lm+u) read from one
@@ -686,27 +687,15 @@ def lemma24_scan(
 
     witness = next(failing(), None)
     where = "" if level is None else f"L={level}, "
-    return PadicMembershipReport(
-        prime=p,
-        required_valuation=0,
-        value_description=f"lemma24 grid {where}m<={m_max}",
-        actual_valuation=0,
-        member=witness is None,
-        witness=witness,
-    )
+    description = f"lemma24 grid {where}m<={m_max}"
+    return [PadicMembershipReport(p, 0, description, 0, witness is None, witness)]
 
 
 def _harmonic_report(
     p: int, level: int, s: int, m: int, required: int, actual: Valuation
 ) -> PadicMembershipReport:
-    return PadicMembershipReport(
-        prime=p,
-        required_valuation=required,
-        value_description=f"p^(s+1) g_p(m) harmonic difference, L={level}, s={s}, m={m}",
-        actual_valuation=actual,
-        member=actual >= required,
-        witness=None if actual >= required else (level, s, m),
-    )
+    description = f"p^(s+1) g_p(m) harmonic difference, L={level}, s={s}, m={m}"
+    return _grid_report(p, description, [((level, s, m), required, actual)])
 
 
 def lemma_harmonic_check(
@@ -728,8 +717,9 @@ def lemma_harmonic_scan(
 ) -> list[PadicMembershipReport]:
     """lemma_harmonic_check over every level (or one), s <= s_max, m <= m_max.
 
-    Returns the report of each failing point, then a summary row with the
-    required and actual valuation of the point of smallest margin
+    Returns the report of each failing point, then a summary row: the
+    _grid_report of the same points keyed None, so it has no witness, and
+    it carries the valuations of the point of smallest margin
     actual - required (the first in (L, s, m) order on a tie).
 
     Both block endpoints are multiples of p^s, so one _harmonic_residues
@@ -771,8 +761,9 @@ def lemma_harmonic_scan(
     failing = [
         _harmonic_report(p, *key, req, act) for key, req, act in points if act < req
     ]
-    summary = _grid_report(p, f"harmonic lemma grid s<={s_max}, m<={m_max}", points)
-    return failing + [replace(summary, witness=None)]
+    description = f"harmonic lemma grid s<={s_max}, m<={m_max}"
+    unkeyed = ((None, req, act) for _, req, act in points)
+    return failing + [_grid_report(p, description, unkeyed)]
 
 
 def congruence25_check(
@@ -808,17 +799,18 @@ def s_membership_scan(
     k_max: int,
     s_max: int,
     m_max: int,
-) -> PadicMembershipReport:
+) -> list[PadicMembershipReport]:
     """S(a,K,s,p,m) in p^{s+1} g_p(m) Z_p over the lexicographic (a, K, s, m) grid.
 
-    With Q = w/qd over common_denominator, qd^2 S is the sum over the block
-    [lo, hi) of t_j = w(a+jp) w(K-j) - w(j) w(a+(K-j)p).  One prefix-sum
-    pass of t_j mod p^(2 v_p(qd) + D) per (a, K) makes each block one
-    subtraction.  Two kinds of block are exactly 0.  An empty one
-    (m p^s > K) is skipped: it never fails, and _grid_report replaces the
-    first point (0,0,0,0) of a nonempty grid only on a smaller margin.
-    A symmetric one (lo + hi - 1 = K) is +inf, since t_{K-j} = -t_j.  Any
-    other zero residue is recomputed by _s_sum.
+    Returns one row in a list.  With Q = w/qd over common_denominator,
+    qd^2 S is the sum over the block [lo, hi) of
+    t_j = w(a+jp) w(K-j) - w(j) w(a+(K-j)p).  One prefix-sum pass of
+    t_j mod p^(2 v_p(qd) + D) per (a, K) makes each block one subtraction.
+    Two kinds of block are exactly 0.  An empty one (m p^s > K) is skipped:
+    it never fails, and _grid_report replaces the first point (0,0,0,0) of
+    a nonempty grid only on a smaller margin.  A symmetric one
+    (lo + hi - 1 = K) is +inf, since t_{K-j} = -t_j.  Any other zero
+    residue is recomputed by _s_sum.
     """
     _require_prime(p)
     _require_indices(a_max=a_max, k_max=k_max, s_max=s_max, m_max=m_max)
@@ -852,4 +844,4 @@ def s_membership_scan(
                         yield (a, big_k, s, m), s + 1 + mus[m], actual
 
     description = f"S on a<=min({a_max},p-1), K<={k_max}, s<={s_max}, m<={m_max}"
-    return _grid_report(p, description, points())
+    return [_grid_report(p, description, points())]

@@ -103,9 +103,10 @@ def test_criterion_5_proof_chain_scans():
                 for a in range(p):
                     for j in range(16):
                         ok = ok and congruence25_check(spec, level, p, a, j)
-            ok = ok and s_membership_scan(
+            (s_report,) = s_membership_scan(
                 spec, p, a_max=p - 1, k_max=10, s_max=2, m_max=10
-            ).member
+            )
+            ok = ok and s_report.member
         for p in (2, 3, 5):
             for level in (1, 2, big_m):
                 for a in range(p):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mirrorint import mirror, padic
+from mirrorint import cli, mirror, padic
 from mirrorint.cli import (
     EXIT_FAILED,
     EXIT_OK,
@@ -435,6 +435,51 @@ def test_commands_build_no_ring_element(monkeypatch, capsys):
         assert main(argv) == EXIT_OK, argv
     capsys.readouterr()
     assert built == []
+
+
+# One argv per command that takes --spec, with --L where it is accepted.
+SPEC_ARGVS = {
+    "delta": ["delta", "--spec", "6/3,2,1"],
+    "series": [
+        "series", "--spec", "6/3,2,1", "--target", "qL", "--L", "2", "--order", "8",
+    ],
+    "verify": [
+        "verify", "--spec", "6/3,2,1", "--target", "qL", "--L", "3", "--order", "8",
+    ],
+    "exponents": ["exponents", "--spec", "6/3,2,1"],
+    "padic": [
+        "padic", "--spec", "6/3,2,1", "--p", "3", "--what", "phi", "--L", "2",
+        "--a-max", "1", "--k-max", "2",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(SPEC_ARGVS))
+def test_spec_is_parsed_once(command, monkeypatch, capsys):
+    # main parses --spec into args.spec; the --L check and the command read it.
+    calls = []
+    real = cli.parse_spec
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(cli, "parse_spec", counting)
+    assert main(SPEC_ARGVS[command]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["command"] == command
+    assert calls == ["6/3,2,1"]
+
+
+def test_package_reexports_nothing():
+    # Submodules are imported by name; the package itself holds no API.
+    import mirrorint
+
+    public = [
+        name
+        for name, value in vars(mirrorint).items()
+        if not name.startswith("_") and type(value) is not type(mirrorint)
+    ]
+    assert public == [] and not hasattr(mirrorint, "__version__")
 
 
 def test_zhou_csv_output(tmp_path, capsys):

@@ -187,6 +187,29 @@ class TestReferenceExponents:
         ref = reference_exponents(S6)
         assert ref.xi is None and ref.omega is None
 
+    @pytest.mark.parametrize(
+        "e,f,shaped",
+        [
+            ((5,), (1,) * 5, True),
+            ((3,), (1,) * 3, True),
+            ((2, 2), (1,) * 4, True),
+            ((1,), (1,), False),
+            ((4,), (2, 1, 1), False),
+        ],
+    )
+    def test_shape_fields_are_set_together(self, e, f, shaped):
+        # Xi, Omega and both exponents exist exactly for (N,...,N)/(1,...,1),
+        # N >= 2; theta_l and Q(1)/theta_l exist for every spec.
+        spec = FactorialRatioSpec(e, f)
+        ref = reference_exponents(spec)
+        fields = (ref.xi, ref.omega, ref.xi_exponent, ref.omega_exponent)
+        assert [x is not None for x in fields] == [shaped] * 4
+        q_one = q_ratio(spec, 1)
+        if shaped:
+            assert ref.xi_exponent == ref.xi * q_one
+            assert ref.omega_exponent == ref.omega * q_one * len(e) * e[0]
+        assert ref.spec == spec and set(ref.theta_l) == set(ref.q_one_over_theta)
+
     def test_xi_exponent_certified_by_series(self):
         # the predicted root of q_N must actually pass at desk order
         spec = FactorialRatioSpec((5,), (1,) * 5)

@@ -22,6 +22,7 @@ from mirrorint.landau import (
 from mirrorint.mirror import build_bundle
 from mirrorint.padic import (
     INFINITE,
+    PadicMembershipReport,
     congruence25_check,
     congruence_star_check,
     dwork_decomposition_check,
@@ -337,7 +338,7 @@ class TestSplitSum:
 
     def test_membership_scan(self):
         for p in (2, 3, 5):
-            report = s_membership_scan(
+            (report,) = s_membership_scan(
                 S6, p, a_max=p - 1, k_max=8, s_max=2, m_max=8
             )
             assert report.member, (p, report.witness)
@@ -347,7 +348,7 @@ class TestSplitSum:
             s_membership_scan(S6, 4, a_max=3, k_max=4, s_max=1, m_max=2)
 
     def test_scan_summary_is_the_tightest_point(self):
-        report = s_membership_scan(S6, 2, a_max=6, k_max=6, s_max=1, m_max=4)
+        (report,) = s_membership_scan(S6, 2, a_max=6, k_max=6, s_max=1, m_max=4)
         points = [
             (
                 s + 1 + mu_and_g(S6, 2, m)[0],
@@ -372,7 +373,7 @@ class TestSplitSum:
         # blocks, nonzero ones included, take the exact fallback.
         a_max, k_max, s_max, m_max = 4, 9, 2, 6
         with mock.patch.object(padic, "_RESIDUE_DIGITS", digits):
-            report = s_membership_scan(spec, p, a_max, k_max, s_max, m_max)
+            (report,) = s_membership_scan(spec, p, a_max, k_max, s_max, m_max)
         points = (
             (
                 (a, big_k, s, m),
@@ -532,10 +533,11 @@ class TestLemma24:
             lemma24_check(3, 1, 3, 6, 1, 2)
 
     def test_scan_one_level(self):
-        report = lemma24_scan(S12, 3, 10, level=4)
+        (report,) = lemma24_scan(S12, 3, 10, level=4)
         assert report.member and report.witness is None
         assert report.value_description == "lemma24 grid L=4, m<=10"
-        assert lemma24_scan(S12, 3, 10).value_description == "lemma24 grid m<=10"
+        (every_level,) = lemma24_scan(S12, 3, 10)
+        assert every_level.value_description == "lemma24 grid m<=10"
 
     def test_scan_rejects_level_outside_range(self):
         for level in (0, 13):
@@ -584,7 +586,7 @@ class TestLemma24:
                 for m in range(m_max + 1)
                 if not lemma24_check(p, s, a, big_m, m, lev)
             ]
-            report = lemma24_scan(spec, p, m_max, level)
+            (report,) = lemma24_scan(spec, p, m_max, level)
         assert report.member == (not failing)
         assert report.witness == (failing[0] if failing else None)
 
@@ -945,6 +947,60 @@ def test_vp_int_tests_only_p_below_two():
     assert vp_int(5, 4) == 0  # no primality test on the hot path
     with pytest.raises(ValueError, match="not prime"):
         vp_int(5, 0)
+
+
+# The four grid scans on small grids.
+SCANS = {
+    "phi_membership_scan": lambda: phi_membership_scan(S12, 3, 2, 4),
+    "s_membership_scan": lambda: s_membership_scan(S12, 3, 2, 4, 1, 3),
+    "lemma_harmonic_scan": lambda: lemma_harmonic_scan(S12, 3, 1, 3),
+    "lemma24_scan": lambda: lemma24_scan(S12, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(SCANS))
+def test_every_scan_returns_a_list_of_rows(name):
+    rows = SCANS[name]()
+    assert type(rows) is list and rows
+    assert all(type(row) is PadicMembershipReport for row in rows)
+
+
+def test_grid_report_of_unkeyed_points_fails_without_a_witness():
+    # Margins 3, -2, -2, 0: the row is the first point of least margin.
+    points = [(None, 2, 5), (None, 3, 1), (None, 4, 2), (None, 1, 1)]
+    report = padic._grid_report(5, "unkeyed", points)
+    assert not report.member and report.witness is None
+    assert (report.required_valuation, report.actual_valuation) == (3, 1)
+
+
+@pytest.mark.parametrize(
+    "required,actual", [(2, 3), (3, 3), (4, 3), (2, INFINITE)]
+)
+def test_harmonic_report_is_a_one_point_grid_report(required, actual):
+    report = padic._harmonic_report(5, 2, 1, 7, required, actual)
+    assert report.member == (actual >= required)
+    assert report.witness == (None if report.member else (2, 1, 7))
+    assert (report.required_valuation, report.actual_valuation) == (required, actual)
+    assert report.value_description.endswith("L=2, s=1, m=7")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_harmonic_summary_is_the_grid_report_of_every_point(p):
+    # The last row reduces lemma_harmonic_check over the whole grid, unkeyed.
+    rows = lemma_harmonic_scan(S6, p, 1, 4)
+    points = [
+        lemma_harmonic_check(S6, level, p, s, m)
+        for level in range(1, 7)
+        for s in range(2)
+        for m in range(5)
+    ]
+    expected = padic._grid_report(
+        p,
+        rows[-1].value_description,
+        [(None, r.required_valuation, r.actual_valuation) for r in points],
+    )
+    assert rows[-1] == expected and rows[-1].witness is None
+    assert rows[:-1] == [r for r in points if not r.member]
 
 
 # M = 12 for S12: levels 0 and M + 1 are outside [1, M].

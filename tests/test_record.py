@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorint._record import replace
 from mirrorint.cli import CorpusEntry
 from mirrorint.landau import Classification, FactorialRatioSpec, LandauProfile
 from mirrorint.mirror import (
@@ -132,11 +131,6 @@ class TestRecord:
         record = cls(**fields)
         assert pickle.loads(pickle.dumps(record)) == record
 
-    def test_replace(self, cls, fields, change):
-        changed = replace(cls(**fields), **change)
-        assert type(changed) is cls
-        assert changed == cls(**{**fields, **change})
-
     def test_bad_arguments(self, cls, fields, change):
         first, *rest = fields
         with pytest.raises(TypeError):
@@ -147,8 +141,6 @@ class TestRecord:
             cls(fields[first], **fields)
         with pytest.raises(TypeError):
             cls(*fields.values(), 1)
-        with pytest.raises(TypeError):
-            replace(cls(**fields), unknown=1)
 
     def test_post_init_patched_later_runs(self, cls, fields, change, monkeypatch):
         # Looked up at construction: a patched __post_init__ is never skipped.
@@ -163,13 +155,6 @@ class TestRecord:
         monkeypatch.setattr(cls, "__post_init__", post_init, raising=False)
         record = cls(**fields)
         assert seen == [record]
-
-
-def test_replace_reruns_validation():
-    with pytest.raises(ValueError):
-        replace(ZhouInstance((2, 3, 6)), ks=(2, 3))
-    with pytest.raises(ValueError):
-        replace(S6, e=())
 
 
 def test_defaults_fill_missing_fields():
